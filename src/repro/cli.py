@@ -348,7 +348,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_rss_mb=args.max_rss_mb,
     )
     app = ReproApp(
-        max_workers=args.workers,
+        max_workers=args.threads,
         data_dir=args.data_dir,
         fsync=args.fsync,
         recover=args.recover,
@@ -443,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workers_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers", type=int, default=None,
-            help="processes for sharded pairwise checking (default: "
-            "REPRO_WORKERS env, else serial); results are "
+            help="processes for sharded pairwise checking on relations "
+            "of at least 2048 rows (default: serial); results are "
             "order-identical to serial execution",
         )
 
@@ -571,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON rule file with mixed Table-2 notations "
         "(see docs/api.md)",
     )
-    add_workers_arg(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_serve = sub.add_parser(
@@ -588,9 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         "reported in the startup log line)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4,
-        help="engine/job worker threads (default 4); also seeds the "
-        "sharded checking process pool for large relations",
+        "--workers", type=int, default=4, dest="threads",
+        help="engine and job worker threads (default 4); rule checks "
+        "run in-process on these threads, never in a process pool",
     )
     p_serve.add_argument(
         "--log-level", default="info", dest="log_level",
@@ -644,13 +643,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     workers = getattr(args, "workers", None)
     if workers is not None:
-        from .plan import set_workers, warm_pool
+        from .plan import set_workers
 
+        # check/profile fan out from this (main) thread; the pool forks
+        # at the first fan-out.  serve takes no process count: its
+        # --workers sizes thread pools, and off-main-thread checks are
+        # always serial.
         set_workers(workers)
-        if workers > 1:
-            # Fork the process pool up front, while we are still on the
-            # main thread and before any server/job threads exist.
-            warm_pool(workers)
     try:
         return args.func(args)
     except ReproError as exc:

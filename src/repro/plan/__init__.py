@@ -62,7 +62,6 @@ from .kernels import (
 from .parallel import (
     resolve_workers,
     set_workers,
-    warm_pool,
     workers,
     workers_mode,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "context_for",
     "resolve_workers",
     "set_workers",
-    "warm_pool",
     "workers",
     "workers_mode",
 ]

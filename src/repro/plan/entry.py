@@ -15,7 +15,7 @@ between the notations and that engine:
 * :func:`pairwise_violations` / :func:`denial_violations` /
   :func:`guard_pairs` — the calls the detection, incremental and
   discovery engines make.  Each accepts ``workers=`` and consults the
-  ambient ``REPRO_WORKERS`` mode; eligible executions (pair plans, not
+  ambient worker count; eligible executions (pair plans, not
   ``first_only``) fan out through the sharded parallel executor and
   fall back to the identical serial path whenever the fan-out declines.
 """

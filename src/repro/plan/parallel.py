@@ -11,11 +11,10 @@ disjoint slice and the union is pair-for-pair the single-core run.
 
 This module owns the fan-out:
 
-* **selection** — ``REPRO_WORKERS`` / :func:`set_workers` /
-  :func:`workers` mirror the ``REPRO_KERNEL_BACKEND`` pattern; an
-  explicit ``workers=`` argument wins outright, the ambient mode
-  additionally respects a minimum row count so small checks stay
-  serial (``REPRO_PARALLEL_MIN_ROWS``, default 2048);
+* **selection** — an explicit ``workers=`` argument wins outright;
+  the ambient count (:func:`set_workers` / :func:`workers`, set by the
+  CLI's ``--workers``) applies only to snapshots of at least
+  :data:`MIN_ROWS` rows, so small checks stay serial;
 * **transport** — column slabs ship once per snapshot through
   ``multiprocessing.shared_memory`` (:meth:`ExecutionContext.share`)
   and are cached per token in each worker; unshareable snapshots fall
@@ -33,15 +32,16 @@ This module owns the fan-out:
   come home with the results and merge into the parent's counters, so
   parent totals equal the sum of worker totals.
 
-Any infrastructure failure (broken pool, unpicklable payloads, forking
-off the main thread before a pool exists) degrades to ``None`` and the
-entry layer runs the identical serial path.
+Pools are forked, and used, only from the main thread: a call from any
+other thread (a server's engine and job threads included) runs
+serially.  Any infrastructure failure (broken pool, unpicklable
+payloads) likewise degrades to ``None`` and the entry layer runs the
+identical serial path.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import pickle
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -61,19 +61,18 @@ from .slabs import (
     release_shared,
 )
 
-_WORKERS_ENV = "REPRO_WORKERS"
-_MIN_ROWS_ENV = "REPRO_PARALLEL_MIN_ROWS"
-_DEFAULT_MIN_ROWS = 2048
+#: Ambient fan-out floor: smaller snapshots check serially.
+MIN_ROWS = 2048
 _POLL_S = 0.05
 
-#: Programmatic worker-count override (wins over the environment).
+#: Ambient worker count (``None``: serial unless a call asks).
 _workers_override: int | None = None
 #: Set in worker processes: nested entry points stay serial.
 _in_worker = False
 
 
 def set_workers(n: int | None) -> None:
-    """Force the ambient worker count (``None`` defers to the env)."""
+    """Set the ambient worker count (``None`` restores serial)."""
     global _workers_override
     if n is not None and int(n) < 1:
         raise ValueError(f"worker count must be >= 1, got {n!r}")
@@ -82,7 +81,7 @@ def set_workers(n: int | None) -> None:
 
 @contextmanager
 def workers(n: int | None) -> Iterator[None]:
-    """Temporarily force the worker count (tests and benchmarks)."""
+    """Temporarily set the ambient worker count (tests and benchmarks)."""
     global _workers_override
     previous = _workers_override
     set_workers(n)
@@ -93,41 +92,24 @@ def workers(n: int | None) -> Iterator[None]:
 
 
 def workers_mode() -> int | None:
-    """The ambient worker count: override, else ``REPRO_WORKERS``."""
-    if _workers_override is not None:
-        return _workers_override
-    raw = os.environ.get(_WORKERS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
-def _min_rows() -> int:
-    try:
-        return int(os.environ.get(_MIN_ROWS_ENV, ""))
-    except ValueError:
-        return _DEFAULT_MIN_ROWS
+    """The ambient worker count, or ``None``."""
+    return _workers_override
 
 
 def resolve_workers(explicit: int | None, n_rows: int) -> int:
     """The worker count one execution should use.
 
     An explicit ``workers=`` argument wins outright (the caller asked);
-    the ambient mode (override / ``REPRO_WORKERS``) applies only to
-    snapshots of at least ``REPRO_PARALLEL_MIN_ROWS`` rows, so a
-    fleet-wide ``REPRO_WORKERS=4`` (the CI matrix leg) doesn't tax
-    every tiny unit-test check with process dispatch.
+    the ambient count applies only to snapshots of at least
+    :data:`MIN_ROWS` rows, so ``repro check --workers 4`` doesn't tax
+    every small rule check with process dispatch.
     """
     if _in_worker:
         return 1
     if explicit is not None:
         return max(1, int(explicit))
     mode = workers_mode()
-    if mode is None or mode <= 1:
-        return 1
-    if n_rows < _min_rows():
+    if mode is None or mode <= 1 or n_rows < MIN_ROWS:
         return 1
     return mode
 
@@ -140,22 +122,20 @@ _pool_lock = threading.Lock()
 
 
 def _get_pool(n: int) -> ProcessPoolExecutor | None:
-    """A fork-context pool with at least ``n`` slots, if obtainable.
+    """A fork-context pool with at least ``n`` slots, or ``None``.
 
-    Pools are created (and re-created larger) only from the main
-    thread: forking a multi-threaded parent from a helper thread is
-    how deadlocks are made.  Off-main-thread callers reuse whatever
-    pool exists — a smaller pool still completes all ``n`` shards,
-    just with less overlap — or get ``None`` (serial fallback); a
-    server warms the pool at startup (:func:`warm_pool`) precisely so
-    its event-loop threads land in the reuse case.
+    Only the main thread gets a pool.  A fork-context executor forks
+    its workers lazily, at the first ``submit``, from whichever thread
+    submits: handing an existing pool to a helper thread would fork a
+    multi-threaded parent from that thread, which is how deadlocks are
+    made.  Off-main-thread callers therefore always get ``None`` and
+    run serially.
     """
     global _pool, _pool_size
+    if threading.current_thread() is not threading.main_thread():
+        return None
     with _pool_lock:
         if _pool is not None and _pool_size >= n:
-            return _pool
-        on_main = threading.current_thread() is threading.main_thread()
-        if not on_main:
             return _pool
         if _pool is not None:
             _pool.shutdown(wait=False, cancel_futures=True)
@@ -165,11 +145,6 @@ def _get_pool(n: int) -> ProcessPoolExecutor | None:
         _pool = ProcessPoolExecutor(max_workers=n, mp_context=mp)
         _pool_size = n
         return _pool
-
-
-def warm_pool(n: int) -> None:
-    """Pre-create the worker pool (call from the main thread, once)."""
-    _get_pool(n)
 
 
 def shutdown() -> None:

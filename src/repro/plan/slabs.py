@@ -28,8 +28,10 @@ stay free of any ``repro.relation`` import.
 
 from __future__ import annotations
 
+import os
 import pickle
 import uuid
+import weakref
 from collections.abc import Sequence
 from typing import Any
 
@@ -53,8 +55,9 @@ __all__ = [
 _Arr = Any  # numpy ndarray (kept opaque; mirrors kernels_vec)
 
 #: Shared-memory blocks owned by this process, keyed by context token.
-#: Entries are unlinked by :func:`release_shared` (the parallel layer
-#: calls it from its ``shutdown`` hook and at interpreter exit).
+#: Each entry is unlinked when its context is garbage-collected, and
+#: any left over by :func:`release_shared` (the parallel layer calls it
+#: from its ``shutdown`` hook and at interpreter exit).
 _OWNED_BLOCKS: dict[str, Any] = {}
 
 
@@ -267,6 +270,16 @@ def release_shared(token: str | None = None) -> None:
             pass
 
 
+def _release_owned(token: str, owner: int) -> None:
+    """Finalizer of a shared context: unlink its block in the owner.
+
+    Forked pool workers inherit the parent's heap, finalizers included;
+    only the process that created the block may unlink it.
+    """
+    if os.getpid() == owner:
+        release_shared(token)
+
+
 class ExecutionContext:
     """What the plan kernels see instead of a live relation handle.
 
@@ -277,7 +290,7 @@ class ExecutionContext:
     identifying the snapshot across process boundaries.
     """
 
-    __slots__ = ("_source", "token", "n", "schema")
+    __slots__ = ("_source", "token", "n", "schema", "__weakref__")
 
     def __init__(self, source: Any, *, token: str | None = None) -> None:
         self._source = source
@@ -344,7 +357,8 @@ class ExecutionContext:
 
         The pickled :class:`ColumnSlabs` bundle lands in a single
         :class:`multiprocessing.shared_memory` block owned by this
-        process; repeated calls return the same handle.  Raises whatever
+        process and unlinked when this context dies (with its snapshot);
+        repeated calls return the same handle.  Raises whatever
         :mod:`pickle` raises on unpicklable cell values — callers treat
         that as "not shareable" and stay in-process.
         """
@@ -365,6 +379,7 @@ class ExecutionContext:
         shm.buf[: len(payload)] = payload
         shm.size_used = len(payload)  # type: ignore[attr-defined]
         _OWNED_BLOCKS[self.token] = shm
+        weakref.finalize(self, _release_owned, self.token, os.getpid())
         return SharedSlabHandle(shm.name, len(payload), self.token)
 
 

@@ -12,9 +12,12 @@ serial fallback is silent and lossless.
 
 from __future__ import annotations
 
+import gc
 import inspect
+import os
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,7 +39,7 @@ from repro.plan import (
     resolve_workers,
     workers,
 )
-from repro.plan.parallel import last_run
+from repro.plan.parallel import MIN_ROWS, last_run
 from repro.plan.slabs import load_shared, release_shared
 from repro.quality.detection import Detector
 from repro.relation import Attribute, AttributeType, Relation, Schema
@@ -151,6 +154,36 @@ class TestSlabs:
         findings = list(EngineNeutralityPass().run(module))
         assert findings, "seeded Relation import must be flagged"
         assert all(f.code == "SC002" for f in findings)
+
+
+def _shm_blocks() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+class TestSharedBlockLifetime:
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
+    )
+    def test_dead_snapshots_free_their_blocks(self):
+        """Each fanned-out snapshot's block goes away with the snapshot,
+        not at process shutdown."""
+        from repro.incremental.delta import Delta, apply_delta
+
+        md = MD({"name": 0.5}, ["C"])
+        rel = make_relation(3000, seed=73)
+        gc.collect()
+        before = _shm_blocks()
+        with workers(4):
+            for i in range(10):
+                rel = apply_delta(
+                    rel, Delta(inserts=[(i, i, i % 40, f"n{i % 60:03d}")])
+                )
+                n = len(rel)
+                pairwise_violations(md, rel, restrict={n - 1})
+                run = last_run()
+                assert run is not None and run["shared"]
+        gc.collect()
+        assert len(_shm_blocks() - before) <= 1
 
 
 class TestTokenLifecycle:
@@ -295,13 +328,41 @@ class TestParity:
             pairwise_violations(dep, rel)
         )
 
-    def test_resolve_workers_gates(self):
+    def test_resolve_workers_gates(self, monkeypatch):
+        # The environment is no longer consulted: only set_workers()
+        # (the CLI's --workers) sets the ambient count.
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "1")
         assert resolve_workers(4, 10) == 4
         assert resolve_workers(None, 10) == 1
+        assert resolve_workers(None, 100_000) == 1
         with workers(4):
             assert resolve_workers(None, 10) == 1
-            assert resolve_workers(None, 100_000) == 4
+            assert resolve_workers(None, MIN_ROWS - 1) == 1
+            assert resolve_workers(None, MIN_ROWS) == 4
             assert resolve_workers(2, 100_000) == 2
+
+    def test_off_main_thread_call_runs_serially(self):
+        """A pool made on the main thread is never handed to another
+        thread: forking from a helper thread is how deadlocks are made."""
+        rel = make_relation(600, seed=71)
+        dep = OD(["A"], ["B"])
+        pairwise_violations(dep, rel, workers=2)
+        before = last_run()
+        assert before is not None and before["workers"] == 2
+        out: list = []
+        thread = threading.Thread(
+            target=lambda: out.append(
+                pairwise_violations(dep, rel, workers=2)
+            )
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert last_run() is before
+        assert violation_bytes(out[0]) == violation_bytes(
+            pairwise_violations(dep, rel)
+        )
 
 
 SMALL = st.sampled_from([None, 0, 1, 2, 3, 1.0, 2.5, -1, "x", "y", ""])

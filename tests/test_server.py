@@ -8,8 +8,11 @@ registry, concurrent multi-tenant ingestion, and thread-safe kernel
 counter snapshots.
 """
 
+import glob
 import http.client
 import json
+import random
+import signal
 import threading
 
 import pytest
@@ -22,6 +25,8 @@ from repro.server import ReproApp
 from repro.server.http import HttpError, Request
 from repro.server.observability import Histogram, MetricsRegistry
 from repro.server.routes import build_router
+
+from .test_durability import _req, _start_serve
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -489,6 +494,76 @@ class TestConcurrency:
 
 # ---------------------------------------------------------------------------
 # router + metrics units
+
+
+def _children(pid):
+    kids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path) as fh:
+            kids.update(fh.read().split())
+    return kids
+
+
+def _reprobe_rows(rng, n):
+    rows = []
+    for _ in range(n):
+        entity = rng.randrange(n // 2)
+        day = rng.uniform(0.0, 3650.0)
+        rows.append([
+            round(entity * 2.0 + rng.uniform(-0.2, 0.2), 4),
+            f"z{entity}",
+            round(day, 4),
+            round(day * 10.0 + (1.0 if rng.random() < 0.01 else 0.0), 4),
+        ])
+    return rows
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not glob.glob("/proc/self/task/*/children"),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+class TestServeStaysInProcess:
+    def test_reprobe_batches_never_fork_or_share(self, tmp_path):
+        """MD/OD re-probes on a tenant above the fan-out floor run on
+        the engine threads: no pool children, no shared-memory blocks."""
+        rng = random.Random(7)
+        shm_before = set(glob.glob("/dev/shm/psm_*"))
+        proc, base = _start_serve(
+            tmp_path, tmp_path / "state", "--workers", "4"
+        )
+        try:
+            schema = [
+                {"name": "street", "type": "numerical"},
+                {"name": "zip", "type": "categorical"},
+                {"name": "day", "type": "numerical"},
+                {"name": "subtotal", "type": "numerical"},
+            ]
+            status, body, _ = _req(
+                base, "POST", "/tenants",
+                {"tenant": "t", "schema": schema,
+                 "rows": _reprobe_rows(rng, 3000)},
+            )
+            assert status == 201, body
+            rules = {"rules": [
+                {"kind": "MD", "lhs": {"street": 0.5}, "rhs": ["zip"]},
+                {"kind": "OD", "lhs": ["day"],
+                 "rhs": [["subtotal", "<="]]},
+            ]}
+            status, body, _ = _req(base, "PUT", "/tenants/t/rules", rules)
+            assert status == 200, body
+            for _ in range(5):
+                status, body, _ = _req(
+                    base, "POST", "/tenants/t/batches",
+                    {"insert": _reprobe_rows(rng, 100)},
+                )
+                assert status == 200, body
+                assert body["complete"]
+            assert _children(proc.pid) == set()
+            assert set(glob.glob("/dev/shm/psm_*")) - shm_before == set()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
 
 
 class TestRouter:
