@@ -17,14 +17,16 @@ discarding the substrate PR 1 built, carries it forward:
   changed tuples are rewritten, the rest share their member lists;
 * cached stripped partitions are rebuilt from the patched group tables
   (never from scratch);
-* for insert-only batches the dictionary encoding is *extended* in
-  place — existing codes are reused and new values append to the
-  codebooks in first-occurrence order.
+* for batches without deletes, every built codebook of a column the
+  batch's updates leave untouched is *extended* — existing codes are
+  reused and new values append in first-occurrence order — so the
+  encoding cost of such a batch is O(batch).
 
-Updates or deletes force a fresh (lazy) encoding: patching codes would
-break the first-occurrence code order that the encoded/naive parity
-contract depends on.  Group-table patching has no such constraint (dict
-equality ignores key order), so it applies to every batch shape.
+A column the updates assign, and every column of a batch with deletes,
+gets a fresh (lazy) codebook: patching its codes in place would break
+the first-occurrence code order that the encoded/naive parity contract
+depends on.  Group-table patching has no such constraint (dict equality
+ignores key order), so it applies to every batch shape.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class Delta:
 
     def is_empty(self) -> bool:
         return not (self.inserts or self.deletes or self.updates)
-
-    def is_insert_only(self) -> bool:
-        return bool(self.inserts) and not self.deletes and not self.updates
 
     def touched_attributes(self) -> frozenset[str]:
         """Attribute names assigned by any cell update in the batch."""
@@ -309,13 +308,10 @@ def apply_delta(relation: Relation, delta: Delta | Mapping[str, Any]) -> Relatio
         new_columns.append(tuple(buf))
     child = Relation._from_trusted(schema, tuple(new_columns))
 
-    enc = relation._enc
-    if (
-        enc is not None
-        and delta.is_insert_only()
-        and any(cc is not None for cc in enc._per_column)
-    ):
-        child._enc = enc.extended(child._columns, len(child))
+    if relation._enc is not None and not deleted:
+        child._enc = relation._enc.extended(
+            child._columns, len(child), changed=updates_by_col.keys()
+        )
 
     cache = relation._cache
     if cache is not None and (cache._groups or cache._partitions):

@@ -333,27 +333,6 @@ def _sweep_struct(plan: Plan) -> Any:
     return guard, guard.op in ("<", "<="), consequents
 
 
-def _column_kind(ctx: ExecutionContext, attr: str) -> str | None:
-    """'num' / 'str' / 'empty' when a column is bisect-sortable, else None."""
-    kind: str | None = None
-    for v in ctx.column(attr):
-        if v is None:
-            continue
-        if isinstance(v, bool) or isinstance(v, (int, float)):
-            if isinstance(v, float) and math.isnan(v):
-                continue
-            k = "num"
-        elif isinstance(v, str):
-            k = "str"
-        else:
-            return None
-        if kind is None:
-            kind = k
-        elif kind != k:
-            return None
-    return kind or "empty"
-
-
 def _value_ok(v: Any, kind: str) -> bool:
     """Whether a cell participates in sorted structures of ``kind``."""
     if v is None:
@@ -381,8 +360,8 @@ class _SweepSpec:
 
 def _sweep_spec(struct: Any, ctx: ExecutionContext) -> _SweepSpec | None:
     guard, prior_is_alpha, consequents = struct
-    sort_kind = _column_kind(ctx, guard.lhs_attr)
-    if sort_kind is None:
+    sort_kind = ctx.column_kind(guard.lhs_attr)
+    if sort_kind == "unsortable":
         return None
     clause_specs: list[tuple[str, str, str, bool, str]] = []
     for cons in consequents:
@@ -394,9 +373,9 @@ def _sweep_spec(struct: Any, ctx: ExecutionContext) -> _SweepSpec | None:
         else:
             store_attr, query_attr = cons.rhs_attr, cons.lhs_attr
             eff_op = _FLIP[cons.op]
-        store_kind = _column_kind(ctx, store_attr)
-        query_kind = _column_kind(ctx, query_attr)
-        if store_kind is None or query_kind is None:
+        store_kind = ctx.column_kind(store_attr)
+        query_kind = ctx.column_kind(query_attr)
+        if "unsortable" in (store_kind, query_kind):
             return None
         if "empty" not in (store_kind, query_kind) and store_kind != query_kind:
             # Cross-kind comparisons are SQL-false everywhere; scanning

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import uuid
 import weakref
 from collections.abc import Sequence
 from typing import Any
@@ -54,8 +53,9 @@ __all__ = [
 
 _Arr = Any  # numpy ndarray (kept opaque; mirrors kernels_vec)
 
-#: Shared-memory blocks owned by this process, keyed by context token.
-#: Each entry is unlinked when its context is garbage-collected, and
+#: Shared-memory blocks owned by this process, keyed by snapshot token.
+#: Each entry is unlinked when its snapshot's encoding is freed — by
+#: reference count, the moment the last user drops the snapshot — and
 #: any left over by :func:`release_shared` (the parallel layer calls it
 #: from its ``shutdown`` hook and at interpreter exit).
 _OWNED_BLOCKS: dict[str, Any] = {}
@@ -176,7 +176,7 @@ class ColumnSlabs:
         Rebuilds a relation snapshot from the decoded columns and seeds
         its encoding with the shipped codebooks and kernel caches, so
         the receiving kernels never re-hash or re-sort what the sender
-        already had.  The context keeps the sender's ``token`` —
+        already had.  The encoding keeps the sender's ``token`` —
         receiver-side caches stay keyed by snapshot identity.
         """
         from ..relation.relation import Relation
@@ -184,6 +184,7 @@ class ColumnSlabs:
         cols = tuple(slab.column() for slab in self.columns)
         relation = Relation._from_trusted(self.schema, cols)
         enc = relation.encoding()
+        enc.token = self.token
         for j, slab in enumerate(self.columns):
             if slab.values is None:
                 continue
@@ -198,9 +199,7 @@ class ColumnSlabs:
                 valid=slab.valid,
                 sorted_projection=srt,
             )
-        ctx = ExecutionContext(relation, token=self.token)
-        enc._ctx = ctx
-        return ctx
+        return ExecutionContext(relation)
 
 
 class SharedSlabHandle:
@@ -271,7 +270,7 @@ def release_shared(token: str | None = None) -> None:
 
 
 def _release_owned(token: str, owner: int) -> None:
-    """Finalizer of a shared context: unlink its block in the owner.
+    """Finalizer of a shared snapshot: unlink its block in the owner.
 
     Forked pool workers inherit the parent's heap, finalizers included;
     only the process that created the block may unlink it.
@@ -283,18 +282,19 @@ def _release_owned(token: str, owner: int) -> None:
 class ExecutionContext:
     """What the plan kernels see instead of a live relation handle.
 
-    A read-only facade over one immutable snapshot: row count, schema,
-    and the column primitives the candidate generators and vectorized
-    masks consume.  Contexts are cheap (built once per snapshot, cached
-    on the encoding — see :func:`context_for`) and carry a ``token``
-    identifying the snapshot across process boundaries.
+    A read-only facade over one immutable snapshot and its encoding:
+    row count, schema, and the column primitives the candidate
+    generators and vectorized masks consume.  Contexts are cheap (see
+    :func:`context_for`); their ``token`` — the encoding's — identifies
+    the snapshot across process boundaries.
     """
 
-    __slots__ = ("_source", "token", "n", "schema", "__weakref__")
+    __slots__ = ("_source", "_enc", "token", "n", "schema")
 
-    def __init__(self, source: Any, *, token: str | None = None) -> None:
+    def __init__(self, source: Any) -> None:
         self._source = source
-        self.token = token if token is not None else uuid.uuid4().hex
+        self._enc = source.encoding()
+        self.token: str = self._enc.token
         self.n: int = len(source)
         self.schema = source.schema
 
@@ -321,29 +321,31 @@ class ExecutionContext:
 
     # -- vector-kernel primitives --------------------------------------
 
+    def column_kind(self, attr: str) -> str:
+        """Sorted-sweep kind of a column: ``num``, ``str``, ``empty``
+        or ``unsortable`` (cached on its codebook, if one is built)."""
+        j = self.schema.index_of(attr)
+        return self._enc.column_kind(j)  # type: ignore[no-any-return]
+
     def gather(self, attr: str) -> tuple[Any, Any, Any]:
         """``(codes, floats, valid)`` kernel arrays of one column."""
-        source = self._source
-        j = source.schema.index_of(attr)
-        return source.encoding().gather(j)  # type: ignore[no-any-return]
+        j = self.schema.index_of(attr)
+        return self._enc.gather(j)  # type: ignore[no-any-return]
 
     def distinct_values(self, attr: str) -> list[Any]:
         """Distinct values of a column, dictionary-code order."""
-        source = self._source
-        j = source.schema.index_of(attr)
-        return source.encoding().column_codes(j).values  # type: ignore[no-any-return]
+        j = self.schema.index_of(attr)
+        return self._enc.column_codes(j).values  # type: ignore[no-any-return]
 
     def sorted_projection(self, attr: str) -> tuple[Any, Any]:
         """Cached ``(rows, values)`` float-sorted projection of a column."""
-        source = self._source
-        j = source.schema.index_of(attr)
-        return source.encoding().sorted_projection(j)  # type: ignore[no-any-return]
+        j = self.schema.index_of(attr)
+        return self._enc.sorted_projection(j)  # type: ignore[no-any-return]
 
     def combined_codes(self, attrs: tuple[str, ...]) -> Any:
         """One integer per row encoding the value combination over ``attrs``."""
-        source = self._source
-        idxs = tuple(source.schema.index_of(a) for a in attrs)
-        return source.encoding().combined_codes(idxs)
+        idxs = tuple(self.schema.index_of(a) for a in attrs)
+        return self._enc.combined_codes(idxs)
 
     # -- transport -----------------------------------------------------
 
@@ -357,10 +359,11 @@ class ExecutionContext:
 
         The pickled :class:`ColumnSlabs` bundle lands in a single
         :class:`multiprocessing.shared_memory` block owned by this
-        process and unlinked when this context dies (with its snapshot);
-        repeated calls return the same handle.  Raises whatever
-        :mod:`pickle` raises on unpicklable cell values — callers treat
-        that as "not shareable" and stay in-process.
+        process and unlinked when the snapshot's encoding is freed
+        (with the snapshot, by reference count); repeated calls return
+        the same handle.  Raises whatever :mod:`pickle` raises on
+        unpicklable cell values — callers treat that as "not shareable"
+        and stay in-process.
         """
         from multiprocessing import shared_memory
 
@@ -379,20 +382,17 @@ class ExecutionContext:
         shm.buf[: len(payload)] = payload
         shm.size_used = len(payload)  # type: ignore[attr-defined]
         _OWNED_BLOCKS[self.token] = shm
-        weakref.finalize(self, _release_owned, self.token, os.getpid())
+        weakref.finalize(self._enc, _release_owned, self.token, os.getpid())
         return SharedSlabHandle(shm.name, len(payload), self.token)
 
 
 def context_for(relation: Any) -> ExecutionContext:
-    """The execution context of a relation snapshot (built once, cached).
+    """The execution context of a relation snapshot.
 
-    Cached on the relation's encoding: relations are immutable, derived
-    relations start with a fresh encoding, so a context (and its share
-    token) can never go stale.
+    A fresh facade per call — nothing on the snapshot refers back to
+    it, so the snapshot is freed by reference count.  Every facade of
+    one snapshot shares its encoding's caches and token; relations are
+    immutable and derived relations get their own encoding, so neither
+    can go stale.
     """
-    enc = relation.encoding()
-    ctx = enc._ctx
-    if ctx is None:
-        ctx = ExecutionContext(relation)
-        enc._ctx = ctx
-    return ctx  # type: ignore[no-any-return]
+    return ExecutionContext(relation)

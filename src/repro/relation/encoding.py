@@ -39,8 +39,9 @@ cannot corrupt results.
 from __future__ import annotations
 
 import os
+import uuid
 from contextlib import contextmanager
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from typing import Any
 
 try:  # numpy is a declared dependency, but keep the substrate importable
@@ -185,6 +186,26 @@ def relation_from_state(state: dict[str, Any]) -> Any:
     return Relation.from_columns(schema, columns)
 
 
+def _sort_kind(kind: str, cells: Iterable[Value]) -> str:
+    """Fold ``cells`` (``None``/NaN skipped) into a sorted-sweep kind:
+    ``empty``, ``num``, ``str`` or the absorbing ``unsortable``.  Cells,
+    not codes: ``5`` and ``np.int64(5)`` share a code, not a kind."""
+    for v in cells:
+        if v is None or (isinstance(v, float) and v != v):
+            continue
+        if isinstance(v, (int, float)):  # bool is an int
+            k = "num"
+        elif isinstance(v, str):
+            k = "str"
+        else:
+            return "unsortable"
+        if kind == "empty":
+            kind = k
+        elif kind != k:
+            return "unsortable"
+    return kind
+
+
 class ColumnCodes:
     """Dictionary encoding of one column.
 
@@ -195,7 +216,7 @@ class ColumnCodes:
     __slots__ = (
         "codes", "values", "codebook", "groups", "n_distinct",
         "self_unequal", "numeric_safe", "none_code", "_array", "_floats",
-        "_valid", "_sorted",
+        "_valid", "_sorted", "_kind",
     )
 
     def __init__(self, column: Sequence[Value]) -> None:
@@ -204,7 +225,6 @@ class ColumnCodes:
         #: member rows per code, collected during the same pass — the
         #: single-attribute group table comes for free.
         groups: list[list[int]] = []
-        none_code = -1
         for i, v in enumerate(column):
             code = codebook.setdefault(v, len(codebook))
             codes.append(code)
@@ -212,19 +232,33 @@ class ColumnCodes:
                 groups.append([i])
             else:
                 groups[code].append(i)
-            if v is None:
-                none_code = code
         self.codes = codes
         self.groups = groups
         #: value -> code, retained so append-only deltas can extend the
         #: encoding in place instead of rebuilding it.
         self.codebook = codebook
         self.values: list[Value] = list(codebook)
-        self.n_distinct = len(self.values)
-        self.none_code = none_code
+        self._start(self.values)
+
+    def _start(self, values: list[Value]) -> None:
+        self.n_distinct = 0
+        self.none_code = -1
         self.self_unequal = False
         self.numeric_safe = True
-        for v in self.values:
+        self._array = None
+        self._floats = None
+        self._valid = None
+        self._sorted = None
+        self._kind: str | None = None
+        self._fold(values, ())
+
+    def _fold(self, new_values: Sequence[Value], cells: Sequence[Value]) -> None:
+        """Fold values appended to the codebook into the per-value facts,
+        and cells appended to the column into the kind, once known."""
+        for code, v in enumerate(new_values, self.n_distinct):
+            if v is None:
+                self.none_code = code
+                continue
             try:
                 if v != v:
                     self.self_unequal = True
@@ -233,18 +267,13 @@ class ColumnCodes:
             # no budget-governed code runs in the comparison.
             except Exception:
                 self.self_unequal = True
-            if v is None:
-                continue
-            if not isinstance(v, (bool, int, float)):
-                self.numeric_safe = False
-            elif isinstance(v, int) and not isinstance(v, bool) and (
-                abs(v) > _FLOAT_SAFE_INT
+            if not isinstance(v, (int, float)) or (
+                isinstance(v, int) and abs(v) > _FLOAT_SAFE_INT
             ):
                 self.numeric_safe = False
-        self._array = None
-        self._floats = None
-        self._valid = None
-        self._sorted = None
+        self.n_distinct += len(new_values)
+        if self._kind is not None:
+            self._kind = _sort_kind(self._kind, cells)
 
     @classmethod
     def from_parts(
@@ -281,29 +310,7 @@ class ColumnCodes:
         out.groups = groups
         out.codebook = {v: c for c, v in enumerate(values)}
         out.values = values
-        out.n_distinct = len(values)
-        out.none_code = next(
-            (c for c, v in enumerate(values) if v is None), -1
-        )
-        out.self_unequal = False
-        out.numeric_safe = True
-        for v in values:
-            try:
-                if v != v:
-                    out.self_unequal = True
-            # staticcheck: disable=SC008 — a user value whose __eq__
-            # raises is treated as self-unequal (the safe direction);
-            # no budget-governed code runs in the comparison.
-            except Exception:
-                out.self_unequal = True
-            if v is None:
-                continue
-            if not isinstance(v, (bool, int, float)):
-                out.numeric_safe = False
-            elif isinstance(v, int) and not isinstance(v, bool) and (
-                abs(v) > _FLOAT_SAFE_INT
-            ):
-                out.numeric_safe = False
+        out._start(values)
         out._array = codes if is_array else None
         out._floats = floats
         out._valid = valid
@@ -314,44 +321,26 @@ class ColumnCodes:
         """A codebook for ``column`` reusing this one for rows < ``start``.
 
         ``column`` must agree with the encoded column on every row below
-        ``start`` (the append-only delta contract).  Existing codes are
+        ``start`` (the append-only delta contract); with no rows past
+        ``start`` this codebook itself is returned.  Existing codes are
         memcpy-shared, new values extend the codebook in first-occurrence
         order — preserving the parity-critical invariant that code order
         equals first-occurrence order — and the per-code member lists are
         copy-on-append, so untouched groups stay shared with the parent.
         """
+        if start == len(column):
+            return self
         out = ColumnCodes.__new__(ColumnCodes)
         codebook = dict(self.codebook)
         codes = list(self.codes)
         groups = list(self.groups)
         grown: set[int] = set()
-        none_code = self.none_code
-        self_unequal = self.self_unequal
-        numeric_safe = self.numeric_safe
         for i in range(start, len(column)):
-            v = column[i]
-            code = codebook.setdefault(v, len(codebook))
+            code = codebook.setdefault(column[i], len(codebook))
             codes.append(code)
             if code == len(groups):
                 groups.append([i])
                 grown.add(code)
-                if v is None:
-                    none_code = code
-                try:
-                    if v != v:
-                        self_unequal = True
-                # staticcheck: disable=SC008 — a user value whose
-                # __eq__ raises is treated as self-unequal (the safe
-                # direction); no budget-governed code runs here.
-                except Exception:
-                    self_unequal = True
-                if v is not None:
-                    if not isinstance(v, (bool, int, float)):
-                        numeric_safe = False
-                    elif isinstance(v, int) and not isinstance(v, bool) and (
-                        abs(v) > _FLOAT_SAFE_INT
-                    ):
-                        numeric_safe = False
             elif code in grown:
                 groups[code].append(i)
             else:
@@ -361,30 +350,32 @@ class ColumnCodes:
         out.groups = groups
         out.codebook = codebook
         out.values = list(codebook)
-        out.n_distinct = len(codebook)
-        out.none_code = none_code
-        out.self_unequal = self_unequal
-        out.numeric_safe = numeric_safe
+        out.n_distinct = self.n_distinct
+        out.none_code = self.none_code
+        out.self_unequal = self.self_unequal
+        out.numeric_safe = self.numeric_safe
+        out._kind = self._kind
+        tail = column[start:]
+        out._fold(out.values[self.n_distinct:], tail)
         out._array = None
         if self._array is not None and HAS_NUMPY:
             out._array = _np.concatenate(
                 [self._array, _np.asarray(codes[start:], dtype=_np.int64)]
             )
-        # The kernel-side caches of PR 6 (float projection, validity
-        # mask, sorted projection) must not leak stale: either patch
+        # The kernel-side caches (float projection, validity mask,
+        # sorted projection) must not leak stale: either patch
         # them for the appended tail or drop them.  Patching is only
         # sound while the column stays numeric-safe — a tail value that
         # flips `numeric_safe` invalidates the float view wholesale.
         out._floats = None
         out._valid = None
         out._sorted = None
-        if HAS_NUMPY and numeric_safe:
-            tail = column[start:]
+        if HAS_NUMPY and out.numeric_safe:
+            tail_floats = _np.asarray(
+                [float("nan") if v is None else float(v) for v in tail],
+                dtype=_np.float64,
+            )
             if self._floats is not None:
-                tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v) for v in tail],
-                    dtype=_np.float64,
-                )
                 out._floats = _np.concatenate([self._floats, tail_floats])
             if self._valid is not None:
                 out._valid = _np.concatenate(
@@ -403,10 +394,6 @@ class ColumnCodes:
                 # with side="right" — and the tail's own ties in stable
                 # ascending-row order — reproduces exactly the stable
                 # argsort a cold build would produce.
-                tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v) for v in tail],
-                    dtype=_np.float64,
-                )
                 defined = _np.flatnonzero(~_np.isnan(tail_floats))
                 old_rows, old_vals = self._sorted
                 if defined.size == 0:
@@ -452,6 +439,12 @@ class ColumnCodes:
             )
         return self._floats
 
+    def kind(self, column: Sequence[Value]) -> str:
+        """Cached sorted-sweep kind of ``column`` (:func:`_sort_kind`)."""
+        if self._kind is None:
+            self._kind = _sort_kind("empty", column)
+        return self._kind
+
     def sorted_projection(self, column: Sequence[Value]):
         """``(rows, values)``: defined cells ascending by float value.
 
@@ -475,12 +468,14 @@ class RelationEncoding:
 
     Owned by a :class:`~repro.relation.relation.Relation` (which is
     immutable, so no invalidation is ever needed — derived relations
-    simply start with a fresh, empty encoding).
+    start with a fresh or :meth:`extended` encoding).  ``token`` names
+    the snapshot across processes; nothing here refers back to the
+    relation, so both die by reference count.
     """
 
     __slots__ = (
         "_columns", "_n", "_per_column", "_combined", "_distinct",
-        "_groups", "_keyed", "_stripped", "_ctx",
+        "_groups", "_keyed", "_stripped", "token", "__weakref__",
     )
 
     def __init__(self, columns: Sequence[Sequence[Value]], n: int) -> None:
@@ -495,26 +490,25 @@ class RelationEncoding:
         self._groups: dict[tuple[int, ...], list] = {}
         self._keyed: dict[tuple[int, ...], list] = {}
         self._stripped: dict[tuple, tuple] = {}
-        #: Cached :class:`repro.plan.slabs.ExecutionContext` wrapping the
-        #: owning relation (the encoding is the natural per-snapshot
-        #: cache spot: relations are immutable, derived relations get a
-        #: fresh encoding and therefore a fresh context + share token).
-        self._ctx: Any = None
+        self.token = uuid.uuid4().hex
 
     def extended(
-        self, columns: Sequence[Sequence[Value]], n: int
+        self, columns: Sequence[Sequence[Value]], n: int,
+        changed: Collection[int] = (),
     ) -> "RelationEncoding":
-        """An encoding for an append-only extension of this relation.
+        """An encoding for an updated and appended copy of this relation.
 
         ``columns`` must equal this encoding's columns on the first
-        ``self._n`` rows.  Already-built per-column codebooks carry over
-        via :meth:`ColumnCodes.extended`; unbuilt columns stay lazy, and
-        the combined/group memos start empty (they are cheap to rebuild
-        and their keys would all be stale anyway).
+        ``self._n`` rows, except the ``changed`` ones (cell updates).
+        Other already-built codebooks carry over via
+        :meth:`ColumnCodes.extended`; changed and unbuilt columns stay
+        lazy (a rebuild keeps first-occurrence code order), and the
+        combined/group memos start empty (they are cheap to rebuild and
+        their keys would all be stale anyway).
         """
         out = RelationEncoding(columns, n)
         for j, cc in enumerate(self._per_column):
-            if cc is not None:
+            if cc is not None and j not in changed:
                 out._per_column[j] = cc.extended(columns[j], self._n)
         return out
 
@@ -539,6 +533,14 @@ class RelationEncoding:
     def sorted_projection(self, j: int):
         """Cached ``(rows, values)`` sorted float projection of column ``j``."""
         return self.column_codes(j).sorted_projection(self._columns[j])
+
+    def column_kind(self, j: int) -> str:
+        """Sorted-sweep kind of column ``j``: cached on its codebook, or
+        a row scan if none is built (a build would cost more)."""
+        cc = self._per_column[j]
+        if cc is None:
+            return _sort_kind("empty", self._columns[j])
+        return cc.kind(self._columns[j])
 
     def gather(self, j: int):
         """Batch fetch of one column's kernel arrays (numpy builds only).

@@ -17,7 +17,10 @@ everything two or three times over.
 Relations are immutable, so entries never invalidate; derived relations
 (``with_value``, ``take``, ...) start with a fresh, empty cache.  The
 cache lives on the relation (``Relation._cache``), so any two
-algorithms handed the same relation object automatically share it.
+algorithms handed the same relation object automatically share it.  It
+refers back to its relation only weakly: a strong back-reference would
+make every cached relation a reference cycle, freed only by the cyclic
+collector instead of the moment its last user drops it.
 
 Returned partitions and group dicts are shared: callers must treat
 them as read-only.
@@ -25,6 +28,7 @@ them as read-only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -50,7 +54,7 @@ class PartitionCache:
     __slots__ = ("_relation", "_partitions", "_groups", "stats")
 
     def __init__(self, relation: Relation) -> None:
-        self._relation = relation
+        self._relation = weakref.ref(relation)
         self._partitions: dict[tuple[str, ...], StrippedPartition] = {}
         self._groups: dict[tuple[str, ...], dict[Row, list[int]]] = {}
         self.stats = CacheStats()
@@ -76,7 +80,7 @@ class PartitionCache:
         if len(key) > 1:
             pi = self.partition(key[:-1]).product(self.partition(key[-1:]))
         else:
-            pi = StrippedPartition.from_relation(self._relation, key)
+            pi = StrippedPartition.from_relation(self._source(), key)
         self._partitions[key] = pi
         return pi
 
@@ -90,9 +94,15 @@ class PartitionCache:
             self.stats.hits += 1
             return table
         self.stats.misses += 1
-        table = self._relation.group_by(key)
+        table = self._source().group_by(key)
         self._groups[key] = table
         return table
+
+    def _source(self) -> Relation:
+        relation = self._relation()
+        if relation is None:
+            raise ReferenceError("the cached relation no longer exists")
+        return relation
 
     def __len__(self) -> int:
         return len(self._partitions) + len(self._groups)

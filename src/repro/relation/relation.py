@@ -39,7 +39,9 @@ class Relation:
     :meth:`from_columns`.  All mutating operations return new relations.
     """
 
-    __slots__ = ("_schema", "_columns", "_size", "_enc", "_cache")
+    __slots__ = (
+        "_schema", "_columns", "_size", "_enc", "_cache", "__weakref__",
+    )
 
     def __init__(self, schema: Schema, columns: Sequence[Sequence[Value]]) -> None:
         if len(columns) != len(schema):
@@ -181,7 +183,8 @@ class Relation:
         """The relation's dictionary encoding (built lazily, cached).
 
         Relations are immutable, so the encoding never invalidates;
-        derived relations start with a fresh one.
+        derived relations start with a fresh one, or with one carried
+        forward by :meth:`extend` / :meth:`apply_delta`.
         """
         enc = self._enc
         if enc is None:
@@ -282,10 +285,10 @@ class Relation:
         the existing column tuples — so the cost is O(rows added), not
         O(n·m) as the old ``from_rows`` round-trip was.
 
-        Like insert-only :meth:`apply_delta`, any already-built
-        dictionary encoding carries forward *patched* rather than
-        rebuilt: codebooks extend in first-occurrence order and the
-        kernel-side caches (float projections, sorted projections) are
+        As in :meth:`apply_delta`, every already-built dictionary
+        codebook carries forward *patched* rather than rebuilt: codes
+        extend in first-occurrence order and the kernel-side caches
+        (float projections, sorted projections, sweep kinds) are
         merged for the appended tail — never left stale (the
         extend-then-check regression suite pins this against a cold
         rebuild under the vectorized backend).
@@ -305,9 +308,8 @@ class Relation:
             for j, col in enumerate(self._columns)
         )
         child = Relation._from_trusted(self._schema, columns)
-        enc = self._enc
-        if enc is not None and any(cc is not None for cc in enc._per_column):
-            child._enc = enc.extended(child._columns, len(child))
+        if self._enc is not None:
+            child._enc = self._enc.extended(child._columns, len(child))
         return child
 
     def apply_delta(self, delta: "object") -> "Relation":
@@ -315,9 +317,11 @@ class Relation:
         :mod:`repro.incremental`.
 
         Unlike :meth:`extend`/:meth:`take`/:meth:`with_values`, the
-        derived relation inherits *patched* partition-cache entries (and,
-        for insert-only batches, an extended dictionary encoding) from
-        this one, which is what makes incremental re-checking cheap.
+        derived relation inherits *patched* partition-cache entries from
+        this one; like :meth:`extend`, it carries forward every built
+        codebook of a column the batch's updates leave untouched (none
+        if the batch deletes).  That is what makes incremental
+        re-checking cheap.
         """
         from ..incremental.delta import apply_delta
 

@@ -9,7 +9,10 @@ equivalence with cold recomputation lives in
 ``test_incremental_parity.py``.
 """
 
+import gc
 import json
+import random
+import weakref
 
 import pytest
 
@@ -274,11 +277,32 @@ class TestCachePatching:
         assert cc.codes == fresh.encoding().column_codes(0).codes
         assert cc.codebook == fresh.encoding().column_codes(0).codebook
 
-    def test_no_encoding_inheritance_under_updates(self):
-        r = _rel([("k1", "v1"), ("k2", "v2")])
+    def test_per_column_encoding_inheritance_under_updates(self):
+        r = _rel([("k1", "v1"), ("k2", "v2"), ("k1", "v3")])
         r.cached_group_by(["a"])
-        out = r.apply_delta(Delta(updates=[(0, {"a": "k9"})]))
-        assert out._enc is None  # must rebuild, codes would be stale
+        r.cached_group_by(["b"])
+        if r._enc is None:
+            pytest.skip("encoded substrate disabled")
+        out = r.apply_delta(
+            Delta(updates=[(0, {"a": "k9"})], inserts=[("k2", "v1")])
+        )
+        # The updated column inherits nothing (patched codes would break
+        # first-occurrence order); the untouched one carries its own.
+        assert out._enc._per_column[0] is None
+        assert out._enc._per_column[1] is not None
+        cold = Relation.from_rows(out.schema, out.rows()).encoding()
+        for j in (0, 1):
+            mine, fresh = out._enc.column_codes(j), cold.column_codes(j)
+            assert mine.codes == fresh.codes
+            assert mine.values == fresh.values
+            assert mine.codebook == fresh.codebook
+            assert mine.groups == fresh.groups
+        # Update-only: the untouched codebook describes the same cells.
+        same = r.apply_delta(Delta(updates=[(2, {"a": "k2"})]))
+        assert same._enc._per_column[1] is r._enc._per_column[1]
+        # A batch with deletes inherits no codebook at all.
+        dropped = r.apply_delta(Delta(deletes=[0], inserts=[("k3", "v9")]))
+        assert dropped._enc is None
 
 
 class TestStaleness:
@@ -316,6 +340,52 @@ class TestStaleness:
 
 def fresh_parent_groups(r):
     return Relation.from_rows(r.schema, r.rows()).group_by(["a"])
+
+
+class TestSnapshotLifetime:
+    """Superseded snapshots die by reference count, caches and all.
+
+    Nothing a snapshot caches — encoding, execution context, partition
+    cache — may refer back to it: a cycle leaves every superseded
+    snapshot to the cyclic collector, which under steady ingest runs
+    rarely enough for them to pile up.
+    """
+
+    def test_superseded_snapshots_free_without_gc(self):
+        from repro.plan import kernel_backend, pairwise_violations
+
+        rng = random.Random(14)
+
+        def row():
+            e = rng.randrange(200)
+            return (e * 2.0 + rng.uniform(-0.2, 0.2), f"z{e}", f"c{e // 4}")
+
+        r = _rel(
+            [row() for __ in range(600)],
+            names=("street", "zip", "city"),
+            numerical=("street",),
+        )
+        md = MD({"street": 0.5}, ["zip"])
+        refs = []
+        gc.disable()
+        try:
+            with kernel_backend("vector"):
+                for b in range(5):
+                    r = r.apply_delta(
+                        Delta(
+                            inserts=[row() for __ in range(10)],
+                            updates=[(b, {"city": "c-fixed"})],
+                        )
+                    )
+                    refs.append(weakref.ref(r))
+                    n = len(r)
+                    pairwise_violations(md, r, restrict=set(range(n - 10, n)))
+                    cache_for(r).groups(["zip"])
+            alive = [b for b, ref in enumerate(refs[:-1]) if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert refs[-1]() is r
 
 
 class TestChangefeed:

@@ -1,5 +1,7 @@
 """The relation-level partition/group cache shared by the engines."""
 
+import pytest
+
 from repro.datasets import random_relation
 from repro.relation import StrippedPartition, cache_for
 
@@ -56,3 +58,12 @@ def test_engines_share_the_cache():
     assert result.stats.partition_cache_hits > 0
     cfd_result = discover_constant_cfds(r, max_lhs_size=2)
     assert cfd_result.stats.partition_cache_hits >= 0
+
+
+def test_cache_does_not_keep_its_relation_alive():
+    # The cache refers back to its relation weakly (a strong reference
+    # would make every cached relation a reference cycle), so a cache
+    # that outlives its relation says so instead of building.
+    cache = cache_for(random_relation(10, 2, domain_size=2, seed=9))
+    with pytest.raises(ReferenceError):
+        cache.groups(["A0"])

@@ -14,6 +14,7 @@ kernels, which is asserted through the backend-aware counters.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.heterogeneous.cd import CD, SimilarityFunction
@@ -27,8 +28,10 @@ from repro.core.categorical.fd import FD
 from repro.core.numerical.dc import DC, pred2, predc
 from repro.core.numerical.od import OD
 from repro.core.numerical.ofd import OFD
+from repro.incremental import Delta
 from repro.plan import (
     COUNTERS,
+    denial_violations,
     kernel_backend,
     pairwise_violations,
     plan_for,
@@ -379,3 +382,137 @@ def test_apply_delta_insert_only_check_parity_vector_backend():
             Relation.from_rows(schema, head + [(1.5, 100.0), (2.5, 0.25)]),
         )
     assert got == cold
+
+
+# ---------------------------------------------------------------------------
+# apply_delta carries built codebooks through insert+update batches
+
+
+#: Tail cells per column: mostly numeric, sometimes an ``np.int64``
+#: twin of an int (same code, different sweep kind) or — outside the MD
+#: metric column A0, whose distance needs numbers — a string (flips
+#: numeric safety and the kind).
+CARRY_CELLS = [
+    st.one_of(NUMERIC, NUMERIC, NUMERIC, st.sampled_from([5, np.int64(5)])),
+    st.one_of(NUMERIC, NUMERIC, st.sampled_from(["x", "y", 5, np.int64(5)])),
+    st.one_of(NUMERIC, NUMERIC, st.sampled_from(["x", "y", 5, np.int64(5)])),
+]
+
+
+@st.composite
+def carry_sequences(draw):
+    """A numeric start relation plus insert+update batches (no deletes)."""
+    rows = [
+        tuple(draw(NUMERIC) for __ in range(3))
+        for __ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    n = len(rows)
+    batches = []
+    for __ in range(draw(st.integers(min_value=1, max_value=4))):
+        inserts = [
+            tuple(draw(cells) for cells in CARRY_CELLS)
+            for __ in range(draw(st.integers(min_value=0, max_value=3)))
+        ]
+        updates = []
+        for __ in range(draw(st.integers(0, 2) if n else st.just(0))):
+            c = draw(st.integers(0, 2))
+            row = draw(st.integers(min_value=0, max_value=n - 1))
+            updates.append((row, {f"A{c}": draw(CARRY_CELLS[c])}))
+        batches.append(Delta(inserts=inserts, updates=updates))
+        n += len(inserts)
+    return rows, batches
+
+
+def _warm(relation):
+    """Build every kernel cache a re-probe would: gather, sort, kind."""
+    enc = relation.encoding()
+    for j in range(len(relation.schema)):
+        enc.gather(j)
+        enc.column_kind(j)
+        if enc.column_codes(j).numeric_safe:
+            enc.sorted_projection(j)
+
+
+def _assert_same_codebook(mine, cold, column):
+    assert mine.codes == cold.codes
+    assert mine.values == cold.values
+    assert mine.codebook == cold.codebook
+    assert mine.none_code == cold.none_code
+    assert mine.numeric_safe == cold.numeric_safe
+    assert mine.self_unequal == cold.self_unequal
+    assert mine.kind(column) == cold.kind(column)
+    assert np.array_equal(mine.valid_array(), cold.valid_array())
+    if cold.numeric_safe:
+        assert np.array_equal(
+            mine.float_array(column), cold.float_array(column),
+            equal_nan=True,
+        )
+        for got, want in zip(
+            mine.sorted_projection(column), cold.sorted_projection(column),
+            strict=True,
+        ):
+            assert np.array_equal(got, want)
+
+
+CARRY_DEPS = [
+    MD({"A0": 2.0}, ["A1"]),
+    OD([("A0", "<=")], [("A1", "<=")]),
+    DC([pred2("A0", "<="), pred2("A1", ">")]),
+]
+
+
+def _restricted(dep, relation, restrict):
+    check = denial_violations if isinstance(dep, DC) else pairwise_violations
+    with kernel_backend("vector"), plan_mode("plan"):
+        return [
+            (v.tuples, v.reason)
+            for v in check(dep, relation, restrict=restrict)
+        ]
+
+
+@given(carry_sequences())
+@settings(max_examples=60, deadline=None)
+def test_carried_codebooks_match_cold_build(sequence):
+    rows, batches = sequence
+    schema = Schema(
+        [Attribute(f"A{c}", AttributeType.NUMERICAL) for c in range(3)]
+    )
+    relation = Relation.from_rows(schema, rows)
+    for delta in batches:
+        _warm(relation)
+        relation = relation.apply_delta(delta)
+        cold_relation = Relation.from_rows(schema, relation.rows())
+        cold = cold_relation.encoding()
+        assigned = {
+            schema.index_of(a) for __, cells in delta.updates for a, __v in cells
+        }
+        for j in range(3):
+            carried = relation.encoding()._per_column[j]
+            if j in assigned:
+                assert carried is None
+                continue
+            assert carried is not None
+            _assert_same_codebook(
+                carried, cold.column_codes(j), relation._columns[j]
+            )
+        n_new = len(relation) - len(delta.inserts)
+        restrict = {row for row, __ in delta.updates}
+        restrict.update(range(n_new, len(relation)))
+        for dep in CARRY_DEPS:
+            assert _restricted(dep, relation, restrict) == _restricted(
+                dep, cold_relation, restrict
+            ), f"carried-codebook divergence for {dep.label()}"
+
+
+def test_carried_kind_reads_cells_not_codes():
+    """``5`` and ``np.int64(5)`` share a code, not a sort kind."""
+    schema = Schema([Attribute("v", AttributeType.NUMERICAL)])
+    base = Relation.from_rows(schema, [(5,), (1.5,)])
+    _warm(base)
+    assert base.encoding().column_kind(0) == "num"
+    child = base.apply_delta(Delta(inserts=[(np.int64(5),)]))
+    carried = child.encoding()._per_column[0]
+    assert carried is not None and carried.n_distinct == 2
+    assert child.encoding().column_kind(0) == "unsortable"
+    cold = Relation.from_rows(schema, child.rows()).encoding()
+    assert cold.column_kind(0) == "unsortable"
