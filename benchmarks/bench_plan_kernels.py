@@ -2,16 +2,16 @@
 
 Two ladders, one file:
 
-* **n ∈ {500, 2000}** — the original contract: ``plan_mode("plan")``
+* **n ∈ {500, 2000}** — the original contract: the plan kernels
   (whatever backend ``auto`` picks) against the reference quadratic
-  scan of ``plan_mode("naive")``, bit-identical violations, **≥3× at
+  scan of ``tests/oracles.py``, bit-identical violations, **≥3× at
   n=2000** and no regression at n=500.
 * **n ∈ {10⁴}** (plus **10⁵** when ``REPRO_BENCH_FULL=1``) — the
   vectorized-backend contract: the columnar kernels of
   ``repro.plan.kernels_vec`` against the scalar plan kernels on the
-  same relations, **≥10× at n=10⁴** for DD/MD/OD.  The naive scan is
-  not timed here (50M+ Python pair probes); parity at these sizes is
-  scalar-plan vs vectorized-plan, with the naive oracle covered by the
+  same relations, **≥10× at n=10⁴** for DD/MD/OD.  The reference scan
+  is not timed here (50M+ Python pair probes); parity at these sizes is
+  scalar-plan vs vectorized-plan, with the oracle covered by the
   hypothesis suites (``test_plan_parity``, ``test_vector_parity``).
 
 Every measurement lands in ``BENCH_plan.json`` at the repo root
@@ -36,8 +36,9 @@ import pytest
 from repro.core.heterogeneous.dd import DD
 from repro.core.heterogeneous.md import MD
 from repro.core.numerical.od import OD
-from repro.plan import COUNTERS, kernel_backend, plan_mode
+from repro.plan import COUNTERS, kernel_backend
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from tests import oracles
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
 
@@ -145,15 +146,13 @@ def speedups():
         for n in SIZES:
             relation = workload(n)
             dep = make()
-            with plan_mode("plan"):
-                t_plan, got, counters = _timed_counted(
-                    lambda: _snapshot(dep, relation)
-                )
-            with plan_mode("naive"):
-                t_naive, expected, __ = _timed_counted(
-                    lambda: _snapshot(dep, relation)
-                )
-            assert got == expected, f"plan/naive divergence for {kind}"
+            t_plan, got, counters = _timed_counted(
+                lambda: _snapshot(dep, relation)
+            )
+            t_naive, expected, __ = _timed_counted(
+                lambda: oracles.violations(dep, relation)
+            )
+            assert got == expected, f"plan/oracle divergence for {kind}"
             results[f"{kind}@{n}"] = {
                 "kind": kind,
                 "n": n,
@@ -169,12 +168,12 @@ def speedups():
         for n in LARGE_SIZES:
             relation = workload(n)
             dep = make()
-            with kernel_backend("scalar"), plan_mode("plan"):
+            with kernel_backend("scalar"):
                 t_scalar, expected, __ = _timed_counted(
                     lambda: _snapshot(dep, relation)
                 )
             dep = make()
-            with kernel_backend("vector"), plan_mode("plan"):
+            with kernel_backend("vector"):
                 t_vec, got, counters = _timed_counted(
                     lambda: _snapshot(dep, relation)
                 )

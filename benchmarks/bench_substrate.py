@@ -4,9 +4,11 @@ Not a paper figure — performance coverage for the building blocks, so
 regressions in the partitions/metrics/indexes show up in the harness.
 
 The ``TestEncodedSpeedup`` block additionally measures the
-dictionary-encoded fast path against the naive value-tuple path on
-1k-row generator workloads, asserts the ≥3× contract, and writes the
-measurements to ``BENCH_substrate.json`` at the repo root.
+dictionary-encoded substrate against the value-tuple reference
+implementations (``tests/oracles.py``, and FastFD's value-tuple
+fallback for difference sets) on 1k-row generator workloads, asserts
+the ≥3× contract, and writes the measurements to
+``BENCH_substrate.json`` at the repo root.
 """
 
 import json
@@ -18,13 +20,8 @@ import pytest
 from repro.datasets import fd_workload, random_relation
 from repro.discovery.fastfd import _difference_sets_naive, difference_sets
 from repro.metrics import levenshtein
-from repro.relation import (
-    InvertedIndex,
-    Relation,
-    SortedIndex,
-    StrippedPartition,
-    substrate_mode,
-)
+from repro.relation import InvertedIndex, SortedIndex, StrippedPartition
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +90,9 @@ def test_sorted_index_range_query(benchmark, wide):
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
 
-#: The acceptance floor: the encoded substrate must beat the naive
-#: value-tuple path by at least this factor on the 1k-row workloads.
+#: The acceptance floor: the encoded substrate must beat the value-tuple
+#: reference implementations by at least this factor on the 1k-row
+#: workloads.
 MIN_SPEEDUP = 3.0
 
 
@@ -129,26 +127,21 @@ def speedups():
     r = _fresh_workload()
     attrs = ["code", "city"]
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: r.group_by(attrs))
-        g_naive = r.group_by(attrs)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: r.group_by(attrs))
-        assert r.group_by(attrs) == g_naive
+    t_naive = _best_of(lambda: oracles.group_by(r, attrs))
+    t_enc = _best_of(lambda: r.group_by(attrs))
+    assert r.group_by(attrs) == oracles.group_by(r, attrs)
     _record(results, "group_by", t_naive, t_enc)
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
-        p_naive = StrippedPartition.from_relation(r, attrs)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
-        assert StrippedPartition.from_relation(r, attrs) == p_naive
+    t_naive = _best_of(lambda: oracles.stripped_partition(r, attrs))
+    t_enc = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
+    assert StrippedPartition.from_relation(r, attrs) == (
+        oracles.stripped_partition(r, attrs)
+    )
     _record(results, "partition_build", t_naive, t_enc)
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: r.distinct_count(attrs), number=20)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: r.distinct_count(attrs), number=20)
+    t_naive = _best_of(lambda: oracles.distinct_count(r, attrs), number=20)
+    t_enc = _best_of(lambda: r.distinct_count(attrs), number=20)
+    assert r.distinct_count(attrs) == oracles.distinct_count(r, attrs)
     _record(results, "distinct_count", t_naive, t_enc)
 
     # FastFD difference sets are pair-quadratic: one naive timing only.
@@ -156,9 +149,8 @@ def speedups():
     start = time.perf_counter()
     d_naive = _difference_sets_naive(w)
     t_naive = time.perf_counter() - start
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: difference_sets(w), repeat=3, number=1)
-        assert difference_sets(w) == d_naive
+    t_enc = _best_of(lambda: difference_sets(w), repeat=3, number=1)
+    assert difference_sets(w) == d_naive
     _record(results, "difference_sets", t_naive, t_enc)
 
     BENCH_JSON.write_text(

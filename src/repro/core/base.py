@@ -13,9 +13,10 @@ Two structured sub-bases cover the recurring shapes:
 * :class:`PairwiseDependency` — constraints universally quantified over
   tuple *pairs* (FDs, MFDs, NEDs, DDs, CDs, FFDs, MDs, OFDs, ODs,
   two-tuple DCs, …).  Subclasses implement one method,
-  :meth:`~PairwiseDependency.pair_violation`, and inherit a generic
-  O(n²) checker; performance-critical subclasses (FD) override
-  :meth:`violations` with group-based algorithms.
+  :meth:`~PairwiseDependency.pair_violation`, and inherit a checker
+  that runs their compiled plan through the pruned kernels of
+  :mod:`repro.plan`; subclasses with a cheaper engine of their own
+  (FD's group scan) override :meth:`violations`.
 * :class:`MeasuredDependency` — statistical extensions that hold when a
   satisfaction *measure* clears a threshold (SFDs, PFDs, AFDs, PACs,
   AMVDs, approximate DCs).  Subclasses implement
@@ -31,7 +32,7 @@ from collections.abc import Iterable, Iterator
 
 from ..relation.relation import Relation
 from ..relation.schema import Schema
-from .violation import Violation, ViolationSet
+from .violation import ViolationSet
 
 
 class DependencyError(ValueError):
@@ -83,38 +84,20 @@ class PairwiseDependency(Dependency):
     ) -> str | None:
         """A violation reason if tuples ``i, j`` jointly violate, else None.
 
-        ``i < j`` is guaranteed by the generic scanner; implementations
+        ``i < j`` is guaranteed by the plan kernels; implementations
         that are order-sensitive (ODs, DCs) must check both orientations.
         """
 
-    def iter_violations(self, relation: Relation) -> Iterator[Violation]:
-        """Lazily yield violations pair by pair (the naive scan).
-
-        This is the reference O(n²) path; :meth:`violations` and
-        :meth:`holds` normally route through the compiled plan kernels
-        instead (same results, pruned candidate pairs — see
-        :mod:`repro.plan`).
-        """
-        label = self.label()
-        for i, j in relation.tuple_pairs():
-            reason = self.pair_violation(relation, i, j)
-            if reason is not None:
-                yield Violation(label, (i, j), reason)
-
     def violations(self, relation: Relation) -> ViolationSet:
-        from ..plan import pairwise_violations, plan_enabled
+        from ..plan import pairwise_violations
 
-        if plan_enabled():
-            return ViolationSet(pairwise_violations(self, relation))
-        return ViolationSet(self.iter_violations(relation))
+        return ViolationSet(pairwise_violations(self, relation))
 
     def holds(self, relation: Relation) -> bool:
         # Short-circuit on first violation rather than materializing all.
-        from ..plan import pairwise_violations, plan_enabled
+        from ..plan import pairwise_violations
 
-        if plan_enabled():
-            return not pairwise_violations(self, relation, first_only=True)
-        return next(iter(self.iter_violations(relation)), None) is None
+        return not pairwise_violations(self, relation, first_only=True)
 
     def violating_pairs(self, relation: Relation) -> set[tuple[int, int]]:
         """The set of violating (i, j) pairs, i < j."""

@@ -186,24 +186,15 @@ class CD(PairwiseDependency):
 
     def confidence(self, relation: Relation) -> float:
         """Fraction of LHS-agreeing pairs that also satisfy the RHS."""
-        from ...plan import guard_pairs, plan_enabled
+        from ...plan import guard_pairs
 
-        if plan_enabled():
-            agreeing = guard_pairs(self, relation, self._lhs_agrees)
-            good = sum(
-                1
-                for i, j in agreeing
-                if self.rhs.similar(relation, i, j, self.registry)
-            )
-            return good / len(agreeing) if agreeing else 1.0
-        agree = 0
-        good = 0
-        for i, j in relation.tuple_pairs():
-            if self._lhs_agrees(relation, i, j):
-                agree += 1
-                if self.rhs.similar(relation, i, j, self.registry):
-                    good += 1
-        return good / agree if agree else 1.0
+        agreeing = guard_pairs(self, relation, self._lhs_agrees)
+        good = sum(
+            1
+            for i, j in agreeing
+            if self.rhs.similar(relation, i, j, self.registry)
+        )
+        return good / len(agreeing) if agreeing else 1.0
 
     # -- family tree ----------------------------------------------------------
 

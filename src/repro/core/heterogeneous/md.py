@@ -86,15 +86,9 @@ class MD(PairwiseDependency):
 
     def matches(self, relation: Relation) -> list[tuple[int, int]]:
         """All pairs the MD asserts should be identified (LHS-similar)."""
-        from ...plan import guard_pairs, plan_enabled
+        from ...plan import guard_pairs
 
-        if plan_enabled():
-            return guard_pairs(self, relation, self.similar_on_lhs)
-        return [
-            (i, j)
-            for i, j in relation.tuple_pairs()
-            if self.similar_on_lhs(relation, i, j)
-        ]
+        return guard_pairs(self, relation, self.similar_on_lhs)
 
     # -- evaluation measures (discovery objectives, Section 3.7.3) -----------
 

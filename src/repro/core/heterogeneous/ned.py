@@ -92,24 +92,12 @@ class NED(PairwiseDependency):
 
     def support_and_confidence(self, relation: Relation) -> tuple[int, float]:
         """(#pairs agreeing on LHS, fraction of those also meeting RHS)."""
-        from ...plan import guard_pairs, plan_enabled
+        from ...plan import guard_pairs
 
-        if plan_enabled():
-            agreeing = guard_pairs(self, relation, self.lhs_agrees)
-            good = sum(
-                1 for i, j in agreeing if self.rhs_agrees(relation, i, j)
-            )
-            agree = len(agreeing)
-            return agree, (good / agree if agree else 1.0)
-        agree = 0
-        good = 0
-        for i, j in relation.tuple_pairs():
-            if self.lhs_agrees(relation, i, j):
-                agree += 1
-                if self.rhs_agrees(relation, i, j):
-                    good += 1
-        confidence = good / agree if agree else 1.0
-        return agree, confidence
+        agreeing = guard_pairs(self, relation, self.lhs_agrees)
+        good = sum(1 for i, j in agreeing if self.rhs_agrees(relation, i, j))
+        agree = len(agreeing)
+        return agree, (good / agree if agree else 1.0)
 
     # -- family tree ----------------------------------------------------------
 

@@ -84,24 +84,13 @@ class PAC(MeasuredDependency):
 
     def pair_counts(self, relation: Relation) -> tuple[int, int]:
         """(#pairs within Δ on X, #of those also within ε on Y)."""
-        from ...plan import guard_pairs, plan_enabled
+        from ...plan import guard_pairs
 
-        if plan_enabled():
-            close_pairs = guard_pairs(self, relation, self._lhs_close)
-            good = sum(
-                1
-                for i, j in close_pairs
-                if self._rhs_close(relation, i, j)
-            )
-            return len(close_pairs), good
-        close = 0
-        good = 0
-        for i, j in relation.tuple_pairs():
-            if self._lhs_close(relation, i, j):
-                close += 1
-                if self._rhs_close(relation, i, j):
-                    good += 1
-        return close, good
+        close_pairs = guard_pairs(self, relation, self._lhs_close)
+        good = sum(
+            1 for i, j in close_pairs if self._rhs_close(relation, i, j)
+        )
+        return len(close_pairs), good
 
     def measure(self, relation: Relation) -> float:
         """Pr(Y within ε | X within Δ); 1.0 when no pair qualifies."""
@@ -110,7 +99,7 @@ class PAC(MeasuredDependency):
 
     def violations(self, relation: Relation) -> ViolationSet:
         """The X-close pairs exceeding the Y tolerance."""
-        from ...plan import context_for, execute_pairs, plan_enabled, plan_for
+        from ...plan import context_for, execute_pairs, plan_for
 
         label = self.label()
 
@@ -124,16 +113,9 @@ class PAC(MeasuredDependency):
                 )
             return None
 
-        if plan_enabled():
-            return ViolationSet(
-                execute_pairs(plan_for(self), context_for(relation), _verify)
-            )
-        vs = ViolationSet()
-        for i, j in relation.tuple_pairs():
-            hit = _verify(i, j)
-            if hit is not None:
-                vs.add(hit[1])
-        return vs
+        return ViolationSet(
+            execute_pairs(plan_for(self), context_for(relation), _verify)
+        )
 
     # -- family tree --------------------------------------------------------
 

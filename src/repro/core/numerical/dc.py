@@ -25,7 +25,7 @@ from typing import Any
 
 from ...relation.relation import Relation
 from ..base import Dependency, DependencyError
-from ..violation import Violation, ViolationSet
+from ..violation import ViolationSet
 
 Value = Any
 
@@ -197,58 +197,14 @@ class DC(Dependency):
         return all(p.evaluate(relation, assignment) for p in self.predicates)
 
     def violations(self, relation: Relation) -> ViolationSet:
-        from ...plan import denial_violations, plan_enabled
+        from ...plan import denial_violations
 
-        if plan_enabled():
-            return ViolationSet(denial_violations(self, relation))
-        return self._naive_violations(relation)
-
-    def _naive_violations(self, relation: Relation) -> ViolationSet:
-        """Reference ordered scan (the plan kernels must match this)."""
-        vs = ViolationSet()
-        label = self.label()
-        n = len(relation)
-        if self.is_single_tuple:
-            var = self._variables[0]
-            for i in range(n):
-                if self._assignment_denied(relation, {var: i}):
-                    vs.add(
-                        Violation(label, (i,), "tuple satisfies all atoms")
-                    )
-            return vs
-        # Two-variable DCs quantify over ordered pairs with α != β.
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if self._assignment_denied(relation, {ALPHA: i, BETA: j}):
-                    vs.add(
-                        Violation(
-                            label,
-                            (i, j),
-                            f"(tα=t{i}, tβ=t{j}) satisfies all atoms",
-                        )
-                    )
-        return vs
+        return ViolationSet(denial_violations(self, relation))
 
     def holds(self, relation: Relation) -> bool:
-        from ...plan import denial_violations, plan_enabled
+        from ...plan import denial_violations
 
-        if plan_enabled():
-            return not denial_violations(self, relation, first_only=True)
-        n = len(relation)
-        if self.is_single_tuple:
-            var = self._variables[0]
-            return not any(
-                self._assignment_denied(relation, {var: i}) for i in range(n)
-            )
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._assignment_denied(
-                    relation, {ALPHA: i, BETA: j}
-                ):
-                    return False
-        return True
+        return not denial_violations(self, relation, first_only=True)
 
     def g3_error(self, relation: Relation) -> float:
         """Greedy fraction of tuples to drop so the DC holds (A-FASTDC)."""

@@ -98,14 +98,12 @@ def violation_evidence(dep, relation) -> set[tuple[int, int]]:
     candidate's compiled plan so the kernels prune the pair space and
     charge the budget for the pairs actually examined.
     """
-    from ..plan import pairwise_violations, plan_enabled
+    from ..plan import pairwise_violations
 
-    if plan_enabled():
-        return {
-            (v.tuples[0], v.tuples[1])
-            for v in pairwise_violations(dep, relation)
-        }
-    return dep.violating_pairs(relation)
+    return {
+        (v.tuples[0], v.tuples[1])
+        for v in pairwise_violations(dep, relation)
+    }
 
 
 def match_evidence(rule, relation) -> set[tuple[int, int]]:

@@ -76,10 +76,10 @@ def evidence_sets(
     vectors (order atoms), and the per-pair evidence sets fall out of a
     single ``np.unique`` over packed bitmasks — O(|P| · n²) C-speed
     work instead of O(|P| · n²) interpreted ``Predicate.evaluate``
-    calls.  Falls back to the naive path when disabled or when a
-    predicate cannot be vectorized faithfully.
+    calls.  Falls back to the per-pair path when a predicate cannot be
+    vectorized faithfully.
     """
-    if _encoding.encoded_enabled() and len(relation) >= 2:
+    if len(relation) >= 2:
         plan = _vectorizable_plan(relation, space)
         if plan is not None:
             # One checkpoint for the whole vectorized sweep — the
@@ -101,7 +101,8 @@ def evidence_sets(
 def _evidence_sets_naive(
     relation: Relation, space: list[Predicate]
 ) -> Counter:
-    """Reference per-pair implementation (parity oracle)."""
+    """Per-pair evidence sets: the fallback when a predicate cannot be
+    vectorized, and the parity reference for the encoded kernel."""
     out: Counter = Counter()
     n = len(relation)
     for i in range(n):
@@ -127,10 +128,10 @@ def _vectorizable_plan(
     Equality atoms over one attribute run on dictionary codes (masked
     by ``None`` validity, since ``None`` never satisfies an atom);
     order and cross-column atoms run on float vectors with ``NaN`` for
-    ``None`` (``NaN`` comparisons are ``False``, matching the naive
-    semantics).  Columns with NaN-like values take the float route for
-    equality too — codes would call two equal-by-identity NaNs equal
-    where ``==`` does not.
+    ``None`` (``NaN`` comparisons are ``False``, matching
+    ``Predicate.evaluate``).  Columns with NaN-like values take the
+    float route for equality too — codes would call two
+    equal-by-identity NaNs equal where ``==`` does not.
     """
     if _np is None:
         return None
@@ -284,12 +285,15 @@ def discover_dcs(
             evidence = evidence_sets(relation, space)
         except BudgetExhausted as exc:
             # Sampled evidence fallback: bounded (<= 32 rows => <= 992
-            # ordered pairs) and checkpoint-free, so the overrun past
-            # the blown budget stays small.
+            # ordered pairs), so the overrun past the blown budget
+            # stays small; it runs under a fresh unlimited budget
+            # because the ambient one would re-raise at its first
+            # checkpoint.
             stats.mark_exhausted(exc.reason)
             sampled = True
             sample = sample_relation(relation, max_rows=32)
-            evidence = _evidence_sets_naive_unguarded(sample, space)
+            with governed(Budget()):
+                evidence = _evidence_sets_naive(sample, space)
         all_ids = set(range(len(space)))
         complements = sorted(
             {frozenset(all_ids - e) for e in evidence}, key=len
@@ -313,26 +317,6 @@ def discover_dcs(
     return DiscoveryResult(
         dependencies=dcs, stats=stats, algorithm="FASTDC"
     )
-
-
-def _evidence_sets_naive_unguarded(
-    relation: Relation, space: list[Predicate]
-) -> Counter:
-    """Naive evidence sets with no checkpoints (post-exhaustion use)."""
-    out: Counter = Counter()
-    n = len(relation)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            assignment = {ALPHA: i, BETA: j}
-            ev = frozenset(
-                k
-                for k, p in enumerate(space)
-                if p.evaluate(relation, assignment)
-            )
-            out[ev] += 1
-    return out
 
 
 def _minimal_covers_unguarded(

@@ -21,7 +21,6 @@ from collections.abc import Sequence
 
 from ..core.heterogeneous import DD, DifferentialFunction, Interval
 from ..metrics.registry import DEFAULT_REGISTRY, MetricRegistry
-from ..plan import plan_enabled
 from ..relation.relation import Relation
 from ..runtime.budget import Budget, checkpoint, governed, resolve_budget
 from ..runtime.errors import BudgetExhausted, EngineFault, ReproError
@@ -204,17 +203,9 @@ def _dd_grid_search(
                     )
                     for rhs_t in grids[rhs]:
                         stats.candidates_checked += 1
-                        if plan_enabled():
-                            # The plan kernels charge the pairs they
-                            # actually examine inside ``holds``.
-                            checkpoint(candidates=1)
-                        else:
-                            checkpoint(
-                                candidates=1,
-                                pairs=len(relation)
-                                * (len(relation) - 1)
-                                // 2,
-                            )
+                        # The plan kernels charge the pairs they
+                        # actually examine inside ``holds``.
+                        checkpoint(candidates=1)
                         cand = DD(
                             lhs_fn,
                             DifferentialFunction(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 
 from ..core.categorical import FD
-from ..relation import encoding
 from ..relation.relation import Relation
 from ..runtime.budget import (
     Budget,
@@ -35,15 +34,14 @@ def difference_sets(relation: Relation) -> set[frozenset[str]]:
     deduplicated into the (usually far smaller) set of distinct
     difference sets that drives the cover search.
 
-    With the dictionary-encoded substrate the O(n²·k) pair sweep runs
-    over integer code vectors (one ``!=`` broadcast + bitmask reduction
-    per anchor tuple) instead of Python value tuples; the naive path
-    remains both as the ``REPRO_NAIVE_SUBSTRATE`` fallback and for
-    relations the kernel cannot encode faithfully (NaN-like values,
+    The O(n²·k) pair sweep runs over the dictionary-encoded integer
+    code vectors (one ``!=`` broadcast + bitmask reduction per anchor
+    tuple) instead of Python value tuples; the value-tuple path remains
+    for relations the kernel cannot encode faithfully (NaN-like values,
     > 62 attributes).
     """
     names = relation.schema.names()
-    if encoding.encoded_enabled() and len(relation) >= 2 and names:
+    if len(relation) >= 2 and names:
         # One checkpoint for the whole vectorized sweep: the kernel is
         # a single C-speed pass we cannot interrupt mid-flight.
         checkpoint(pairs=len(relation) * (len(relation) - 1) // 2)
@@ -68,7 +66,8 @@ def difference_sets(relation: Relation) -> set[frozenset[str]]:
 
 
 def _difference_sets_naive(relation: Relation) -> set[frozenset[str]]:
-    """Reference value-tuple implementation (parity oracle)."""
+    """Value-tuple difference sets: the fallback when the encoded
+    kernel declines, and the parity reference for it."""
     names = relation.schema.names()
     out: set[frozenset[str]] = set()
     rows = relation.rows()

@@ -18,7 +18,6 @@ from collections.abc import Sequence
 
 from ..core.heterogeneous import MD, SimilarityPredicate
 from ..metrics.registry import DEFAULT_REGISTRY, MetricRegistry
-from ..plan import plan_enabled
 from ..relation.relation import Relation
 from ..runtime.budget import Budget, checkpoint, governed, resolve_budget
 from ..runtime.errors import BudgetExhausted
@@ -87,7 +86,6 @@ def _md_threshold_sweep(
     found: list[MD],
     stats: DiscoveryStats,
 ) -> None:
-    n_pairs = len(relation) * (len(relation) - 1) // 2
     for size in range(1, max_lhs_attrs + 1):
         stats.levels = size
         for attrs in combinations(pool, size):
@@ -98,12 +96,9 @@ def _md_threshold_sweep(
                 nonlocal best
                 if idx == len(attrs):
                     stats.candidates_checked += 1
-                    if plan_enabled():
-                        # Kernels charge examined pairs inside
-                        # support/confidence themselves.
-                        checkpoint(candidates=1)
-                    else:
-                        checkpoint(candidates=1, pairs=n_pairs)
+                    # Kernels charge examined pairs inside
+                    # support/confidence themselves.
+                    checkpoint(candidates=1)
                     cand = MD(
                         [
                             SimilarityPredicate(a, t)

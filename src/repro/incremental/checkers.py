@@ -418,26 +418,16 @@ class PairProbeChecker(IncrementalChecker):
             for vk in old_keys:
                 nk = _remap_key(vk, remap)
                 self._store_probe(new, nk[0], nk[1])
-        changed = self._changed_new_rows(delta, new, touched, deleted, remap)
-        changed_set = set(changed)
-        if not changed_set:
+        changed = set(
+            self._changed_new_rows(delta, new, touched, deleted, remap)
+        )
+        if not changed:
             return
-        from ..plan import plan_enabled
-
-        if plan_enabled():
-            # The plan kernels prune the changed × all probe space the
-            # same way they prune the cold scan, restricted to pairs
-            # touching a changed row.
-            for v in self._plan_probe(new, changed_set):
-                self._viols[v.tuples] = v
-            return
-        n = len(new)
-        for t in changed:
-            for u in range(n):
-                if u == t or (u in changed_set and u < t):
-                    continue  # each changed-changed pair probed once
-                i, j = (t, u) if t < u else (u, t)
-                self._store_probe(new, i, j)
+        # The plan kernels prune the changed × all probe space the same
+        # way they prune the cold scan, restricted to pairs touching a
+        # changed row.
+        for v in self._plan_probe(new, changed):
+            self._viols[v.tuples] = v
 
     def _plan_probe(self, relation: Relation, restrict: set[int]):
         from ..plan import pairwise_violations
@@ -627,7 +617,6 @@ def checker_for(rule, relation: Relation) -> IncrementalChecker:
         isinstance(rule, PairwiseDependency)
         and not isinstance(rule, MeasuredDependency)
         and type(rule).violations is PairwiseDependency.violations
-        and type(rule).iter_violations is PairwiseDependency.iter_violations
     ):
         return PairProbeChecker(rule, relation)
     return FullRecomputeChecker(rule, relation)

@@ -24,9 +24,10 @@ discarding the substrate PR 1 built, carries it forward:
 
 A column the updates assign, and every column of a batch with deletes,
 gets a fresh (lazy) codebook: patching its codes in place would break
-the first-occurrence code order that the encoded/naive parity contract
-depends on.  Group-table patching has no such constraint (dict equality
-ignores key order), so it applies to every batch shape.
+the first-occurrence code order that the encoded substrate's parity
+with value-tuple grouping depends on.  Group-table patching has no
+such constraint (dict equality ignores key order), so it applies to
+every batch shape.
 """
 
 from __future__ import annotations

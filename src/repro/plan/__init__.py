@@ -38,10 +38,7 @@ from .ir import (
     ThetaAtom,
     kernel_backend,
     kernel_backend_mode,
-    plan_enabled,
-    plan_mode,
     set_kernel_backend,
-    set_mode,
 )
 from .entry import (
     build_verify,
@@ -84,10 +81,7 @@ __all__ = [
     "ThetaAtom",
     "kernel_backend",
     "kernel_backend_mode",
-    "plan_enabled",
-    "plan_mode",
     "set_kernel_backend",
-    "set_mode",
     "compile_dependency",
     "compile_guards",
     "COUNTERS",

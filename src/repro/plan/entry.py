@@ -38,20 +38,14 @@ def plan_for(dep: Any) -> Plan:
     Compilation lowers the notation; the static simplifier then rewrites
     the plan into a provably equivalent smaller one (dead clauses
     dropped, redundant atoms removed — see
-    :func:`repro.analysis.simplify.simplify_plan`).  Set
-    ``REPRO_NO_SIMPLIFY=1`` to execute raw compiled plans instead.
+    :func:`repro.analysis.simplify.simplify_plan`).
     """
-    import os
-
     plan = getattr(dep, "_repro_plan", None)
     if plan is None or plan.source is not dep:
+        from ..analysis.simplify import simplify_plan
         from .compile import compile_dependency
 
-        plan = compile_dependency(dep)
-        if os.environ.get("REPRO_NO_SIMPLIFY", "") in ("", "0"):
-            from ..analysis.simplify import simplify_plan
-
-            plan = simplify_plan(plan)
+        plan = simplify_plan(compile_dependency(dep))
         try:
             dep._repro_plan = plan
         except (AttributeError, TypeError):
@@ -103,8 +97,8 @@ def build_verify(
         label = dep.label()
 
         def verify_denial(p: int, q: int) -> "tuple[Any, Any] | None":
-            # The legacy ordered scan emits a pair at its first denied
-            # (α, β) assignment in row-major order — sort by that key.
+            # The ordered scan emits a pair at its first denied (α, β)
+            # assignment in row-major order — sort by that key.
             for a, b in ((p, q), (q, p)):
                 if dep._assignment_denied(source, {ALPHA: a, BETA: b}):
                     return (
@@ -195,9 +189,9 @@ def denial_violations(
 ) -> list[Any]:
     """Violations of a DC via its compiled plan (ordered semantics).
 
-    Matches the legacy ordered scan exactly: per unordered pair the
-    (α, β) orientation reported is the first denied one in row-major
-    order.
+    Matches the ordered all-assignments scan exactly: per unordered
+    pair the (α, β) orientation reported is the first denied one in
+    row-major order.
     """
     from ..core.violation import Violation
 

@@ -48,9 +48,9 @@ atom structure for candidate-pair pruning and re-verify every candidate
 against the source notation's own predicate, so a plan is always a
 sound over-approximation and never changes reported semantics.
 
-The plan path is on by default; set ``REPRO_NAIVE_PLAN=1`` (or call
-:func:`set_mode`) to force the legacy per-class scan loops, which the
-parity suite compares against.
+Plans are the only evaluation path for pairwise checks; the parity
+suites compare them against the all-pairs reference scans in
+``tests/oracles.py``.
 
 Plans additionally carry a *kernel backend* switch: atoms whose
 semantics reduce to bulk array operations over the encoded substrate
@@ -71,47 +71,6 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 Value = Any
-
-_ENV_FLAG = "REPRO_NAIVE_PLAN"
-
-_mode_override: bool | None = None
-
-
-def set_mode(mode: str | None) -> None:
-    """Force the evaluation path: ``"plan"``, ``"naive"``, or ``None``.
-
-    ``None`` restores the default: compiled plans unless the
-    ``REPRO_NAIVE_PLAN`` environment variable is set.
-    """
-    global _mode_override
-    if mode is None:
-        _mode_override = None
-    elif mode == "plan":
-        _mode_override = True
-    elif mode == "naive":
-        _mode_override = False
-    else:
-        raise ValueError(f"unknown plan mode {mode!r}")
-
-
-@contextmanager
-def plan_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force the evaluation path (for tests and benchmarks)."""
-    global _mode_override
-    previous = _mode_override
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        _mode_override = previous
-
-
-def plan_enabled() -> bool:
-    """Whether compiled-plan evaluation is active."""
-    if _mode_override is not None:
-        return _mode_override
-    return os.environ.get(_ENV_FLAG, "") in ("", "0")
-
 
 _BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 

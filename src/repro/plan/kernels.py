@@ -5,8 +5,8 @@ the atom structure of a plan to *generate candidate pairs* — a sound
 over-approximation of the violating pairs — and re-check every
 candidate with a ``verify`` callback supplied by the caller (the
 notation's own definitional predicate).  Pruning therefore never
-changes semantics: results are exactly the legacy results, obtained by
-examining far fewer pairs.
+changes semantics: results are exactly those of an all-pairs scan of
+the notation's predicate, obtained by examining far fewer pairs.
 
 Kernels are **engine-neutral**: they consume an
 :class:`~repro.plan.slabs.ExecutionContext` (an immutable column-slab
@@ -29,8 +29,7 @@ Strategies, in priority order:
   accepts only bucket pairs whose representative distance lands in the
   atom's interval, with a sorted + bisect fast path for ``abs_diff``
   (NEDs, DDs, MDs, PACs);
-* **pair-scan** — the legacy all-pairs fallback (CDs, FFDs, opaque
-  atoms).
+* **pair-scan** — the all-pairs fallback (CDs, FFDs, opaque atoms).
 
 Each strategy additionally has a *vectorized* twin in
 :mod:`repro.plan.kernels_vec` that evaluates whole clauses as batch
@@ -67,7 +66,7 @@ from typing import Any
 
 from ..runtime import checkpoint
 from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan, kernel_backend_mode
-from .slabs import HAS_NUMPY, ExecutionContext, encoded_enabled
+from .slabs import HAS_NUMPY, ExecutionContext
 
 #: Pairs charged to the budget per checkpoint call.
 _BATCH = 256
@@ -681,14 +680,14 @@ def _vector_binding(plan: Plan, ctx: ExecutionContext) -> Any | None:
 
     Routing order: the ``REPRO_KERNEL_BACKEND`` mode (``scalar`` never
     vectorizes; ``auto`` additionally requires ``_VEC_MIN_ROWS`` rows),
-    the numpy/encoding substrate, the plan's static per-atom
+    numpy being importable, the plan's static per-atom
     vectorizability, and finally :func:`kernels_vec.bind`'s dynamic
     per-context checks (column representability, metric identity).
     """
     mode = kernel_backend_mode()
     if mode == "scalar":
         return None
-    if not HAS_NUMPY or not encoded_enabled():
+    if not HAS_NUMPY:
         return None
     if not plan.vector_eligible:
         return None
@@ -802,7 +801,7 @@ def execute_pairs(
     restrict: set[int] | None = None,
     first_only: bool = False,
 ) -> list[Any]:
-    """Run a pair plan; return verified payloads in legacy scan order.
+    """Run a pair plan; return verified payloads in all-pairs scan order.
 
     ``verify(p, q)`` (p < q) re-checks a candidate with the notation's
     own predicate and returns ``(sort_key, payload)`` or ``None``.

@@ -20,8 +20,9 @@ notation's ``verify`` callback is invoked only for the pairs that
 survive every mask, so it runs O(violations) times instead of
 O(candidates) times.  Semantics are unchanged: every atom's batch
 evaluation reproduces its scalar ``eval`` bit-for-bit, and the parity
-suites (``test_plan_parity``, ``test_vector_parity``) drive all three
-paths — naive, scalar plan, vectorized plan — to identical reports.
+suites (``test_plan_parity``, ``test_vector_parity``) drive the scalar
+and vectorized kernels to reports identical to the all-pairs reference
+scans of ``tests/oracles.py``.
 
 Binding is *dynamic*: :func:`bind` returns ``None`` whenever any atom
 of the plan cannot be vectorized for this context (opaque predicates,

@@ -189,7 +189,6 @@ def _run_shard(blob: bytes) -> bytes:
     global _in_worker
     _in_worker = True
     payload: dict[str, Any] = pickle.loads(blob)
-    from ..relation.encoding import substrate_mode
     from ..runtime import Budget, governed
     from ..runtime.budget import ShardToken
     from ..runtime.errors import BudgetExhausted
@@ -224,12 +223,10 @@ def _run_shard(blob: bytes) -> bytes:
     hits: list[tuple[Any, Any]] = []
     before = COUNTERS.snapshot()
     try:
-        with kernel_backend(payload["backend"]):
-            with substrate_mode(payload["substrate"]):
-                with governed(budget):
-                    strategy, hits = execute_pairs_keyed(
-                        plan, ctx, verify, restrict=rset, shard=shard
-                    )
+        with kernel_backend(payload["backend"]), governed(budget):
+            strategy, hits = execute_pairs_keyed(
+                plan, ctx, verify, restrict=rset, shard=shard
+            )
     except BudgetExhausted as exc:
         exhausted = exc.reason
     finally:
@@ -295,7 +292,6 @@ def execute_parallel(
     already performed.
     """
     global _last_run
-    from ..relation.encoding import encoded_enabled
     from ..runtime import current_budget
     from ..runtime.budget import ShardToken
     from .kernels import COUNTERS
@@ -323,7 +319,6 @@ def execute_parallel(
         "extra": extra,
         "restrict": None if restrict is None else sorted(restrict),
         "backend": kernel_backend_mode(),
-        "substrate": "encoded" if encoded_enabled() else "naive",
         "handle": handle,
         "slabs": slabs,
     }

@@ -21,9 +21,9 @@ once into a :mod:`multiprocessing.shared_memory` block; every worker of
 :mod:`repro.plan.parallel` attaches and rebuilds without re-encoding,
 starting with the parent's caches warm.
 
-Layering note: this module re-exports :data:`HAS_NUMPY` and
-:func:`encoded_enabled` from the substrate so the kernel modules can
-stay free of any ``repro.relation`` import.
+Layering note: this module re-exports :data:`HAS_NUMPY` from the
+substrate so the kernel modules can stay free of any
+``repro.relation`` import.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Any
 from ..relation.encoding import (  # noqa: F401  (re-exported for kernels)
     HAS_NUMPY,
     ColumnCodes,
-    encoded_enabled,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "context_for",
     "release_shared",
     "HAS_NUMPY",
-    "encoded_enabled",
 ]
 
 _Arr = Any  # numpy ndarray (kept opaque; mirrors kernels_vec)

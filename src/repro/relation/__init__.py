@@ -9,13 +9,7 @@ sorted/inverted indexes, projection/join for MVD semantics).
 
 from .schema import Attribute, AttributeType, Schema, SchemaError, as_attribute_names
 from .relation import Relation
-from .encoding import (
-    HAS_NUMPY,
-    RelationEncoding,
-    encoded_enabled,
-    set_mode,
-    substrate_mode,
-)
+from .encoding import HAS_NUMPY, RelationEncoding
 from .partition import StrippedPartition
 from .partition_cache import CacheStats, PartitionCache, cache_for
 from .index import InvertedIndex, SortedIndex, build_indexes
@@ -30,9 +24,6 @@ __all__ = [
     "Relation",
     "HAS_NUMPY",
     "RelationEncoding",
-    "encoded_enabled",
-    "set_mode",
-    "substrate_mode",
     "CacheStats",
     "PartitionCache",
     "cache_for",

@@ -83,11 +83,11 @@ class StrippedPartition:
     ) -> "StrippedPartition":
         """π_X for attribute list X, directly from the relation.
 
-        Uses the dictionary-encoded grouping kernel when enabled — the
-        group keys are never materialized, only the index classes.
+        Uses the dictionary-encoded grouping kernel — the group keys
+        are never materialized, only the index classes.
         ``_grouped_indices`` guarantees ascending members and the
-        ``min_size=2`` filter on both paths, so the normalizing
-        constructor work is skipped.
+        ``min_size=2`` filter, so the normalizing constructor work is
+        skipped.
         """
         grouped = relation._grouped_indices(attributes, min_size=2)
         out = cls.__new__(cls)

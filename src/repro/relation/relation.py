@@ -192,8 +192,10 @@ class Relation:
             self._enc = enc
         return enc
 
-    def _use_encoded(self, idxs: tuple[int, ...]) -> bool:
-        return bool(idxs) and self._size > 0 and _encoding.encoded_enabled()
+    def _trivial_groups(self) -> dict[Row, list[int]]:
+        """The grouping by no attributes (or of no rows): one group of
+        every row, or none."""
+        return {(): list(range(self._size))} if self._size else {}
 
     def column(self, attribute: Attribute | str) -> tuple[Value, ...]:
         """The full column of ``attribute``."""
@@ -237,17 +239,11 @@ class Relation:
         """
         sub = self._schema.project(attributes)
         idxs = self._column_indices(attributes)
+        if not idxs or not self._size:
+            return Relation.from_rows(sub, list(self._trivial_groups()))
         cols = [self._columns[j] for j in idxs]
-        if self._use_encoded(idxs):
-            firsts = self.encoding().distinct_first_rows(idxs)
-            rows = [tuple(col[i] for col in cols) for i in firsts]
-            return Relation.from_rows(sub, rows)
-        seen: set[Row] = set()
-        rows = []
-        for row in zip(*cols, strict=True) if cols else ((),) * self._size:
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+        firsts = self.encoding().distinct_first_rows(idxs)
+        rows = [tuple(col[i] for col in cols) for i in firsts]
         return Relation.from_rows(sub, rows)
 
     def project_bag(self, attributes: Sequence[Attribute | str]) -> "Relation":
@@ -424,41 +420,29 @@ class Relation:
         Groups preserve first-occurrence order of keys via dict ordering.
         """
         idxs = self._column_indices(attributes)
-        if self._use_encoded(idxs):
-            return {
-                key: list(members)
-                for key, members in self.encoding().keyed_table(idxs)
-            }
-        return self._group_by_naive(idxs)
-
-    def _group_by_naive(self, idxs: tuple[int, ...]) -> dict[Row, list[int]]:
-        """Value-tuple grouping (the reference path for the encoded one)."""
-        if not idxs:
-            return {(): list(range(self._size))} if self._size else {}
-        cols = [self._columns[j] for j in idxs]
-        groups: dict[Row, list[int]] = defaultdict(list)
-        for i, row in enumerate(zip(*cols, strict=True)):
-            groups[row].append(i)
-        return dict(groups)
+        if not idxs or not self._size:
+            return self._trivial_groups()
+        return {
+            key: list(members)
+            for key, members in self.encoding().keyed_table(idxs)
+        }
 
     def _grouped_indices(
         self, attributes: Sequence[Attribute | str], min_size: int = 1
     ) -> Sequence[Sequence[int]]:
         """Equal-``X`` index groups without materializing key tuples.
 
-        The partition-construction kernel: with the encoding enabled the
-        group keys are never decoded at all, the classes come back as
-        normalized (ascending, memoized) tuples, and repeated calls are
-        dictionary hits.  Every class is ascending on both paths.
+        The partition-construction kernel: the group keys are never
+        decoded at all, the classes come back as normalized (ascending,
+        memoized) tuples, and repeated calls are dictionary hits.
         """
         idxs = self._column_indices(attributes)
-        if self._use_encoded(idxs):
-            return self.encoding().stripped_classes(idxs, min_size=min_size)
-        return [
-            g
-            for g in self._group_by_naive(idxs).values()
-            if len(g) >= min_size
-        ]
+        if not idxs or not self._size:
+            return [
+                g for g in self._trivial_groups().values()
+                if len(g) >= min_size
+            ]
+        return self.encoding().stripped_classes(idxs, min_size=min_size)
 
     def cached_group_by(
         self, attributes: Sequence[Attribute | str]
@@ -476,12 +460,9 @@ class Relation:
     def distinct_count(self, attributes: Sequence[Attribute | str]) -> int:
         """``|dom(X)|_r`` — number of distinct ``X``-values (SFD strength)."""
         idxs = self._column_indices(attributes)
-        if self._use_encoded(idxs):
-            return self.encoding().distinct_count(idxs)
-        if not idxs:
-            return 1 if self._size else 0
-        cols = [self._columns[j] for j in idxs]
-        return len(set(zip(*cols, strict=True)))
+        if not idxs or not self._size:
+            return len(self._trivial_groups())
+        return self.encoding().distinct_count(idxs)
 
     def value_counts(
         self, attribute: Attribute | str

@@ -1,0 +1,210 @@
+"""Reference implementations the parity suites check production code against.
+
+Each function is the plain, definitional form of an operation whose
+production path is optimized: value-tuple grouping instead of
+dictionary codes (``repro.relation.encoding``), a scan of every tuple
+pair instead of pruned kernels (``repro.plan``).  They share nothing
+with the paths they check except each notation's own predicate
+(``pair_violation``, ``Predicate.evaluate``, the LHS/RHS similarity
+tests), which *is* the definition the kernels re-verify against.
+
+Nothing here is fast, and nothing in ``src/`` calls it: the oracles
+exist so a fast path that silently loses or invents answers fails a
+test.  The naive-baseline microbenchmarks time them as well.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Sequence
+from itertools import combinations
+from typing import Any
+
+from repro.core.heterogeneous.cd import CD
+from repro.core.heterogeneous.md import MD
+from repro.core.heterogeneous.ned import NED
+from repro.core.heterogeneous.pac import PAC
+from repro.core.numerical.dc import ALPHA, BETA, DC
+from repro.relation import Relation, StrippedPartition
+
+Row = tuple[Any, ...]
+Pair = tuple[int, int]
+Report = list[tuple[tuple[int, ...], str]]
+
+
+# -- value-tuple substrate ---------------------------------------------------
+
+
+def group_by(relation: Relation, attributes: Sequence[str]) -> dict[Row, list[int]]:
+    """Row indices keyed by their ``X``-value tuple, first-occurrence order."""
+    if not attributes:
+        return {(): list(range(len(relation)))} if len(relation) else {}
+    cols = [relation.column(a) for a in attributes]
+    groups: dict[Row, list[int]] = defaultdict(list)
+    for i, row in enumerate(zip(*cols, strict=True)):
+        groups[row].append(i)
+    return dict(groups)
+
+
+def project(relation: Relation, attributes: Sequence[str]) -> list[Row]:
+    """The distinct ``X``-value tuples (set-semantics projection rows)."""
+    return list(group_by(relation, attributes))
+
+
+def distinct_count(relation: Relation, attributes: Sequence[str]) -> int:
+    """``|dom(X)|_r``: the number of distinct ``X``-value tuples."""
+    if not attributes:
+        return 1 if len(relation) else 0
+    return len(set(zip(*(relation.column(a) for a in attributes), strict=True)))
+
+
+def stripped_partition(
+    relation: Relation, attributes: Sequence[str]
+) -> StrippedPartition:
+    """π_X: the equal-``X`` classes of two or more rows."""
+    return StrippedPartition(
+        len(relation), group_by(relation, attributes).values()
+    )
+
+
+# -- all-pairs scans ---------------------------------------------------------
+
+
+def _pairs(relation: Relation) -> Iterable[Pair]:
+    """Every unordered pair ``i < j`` in row-major order."""
+    return combinations(range(len(relation)), 2)
+
+
+def pair_violations(
+    dep: Any, relation: Relation, restrict: set[int] | None = None
+) -> Report:
+    """The quadratic scan of ``dep.pair_violation`` over all pairs.
+
+    With ``restrict``, only pairs touching one of those rows — the
+    incremental re-probe contract.
+    """
+    out: Report = []
+    for i, j in _pairs(relation):
+        if restrict is not None and i not in restrict and j not in restrict:
+            continue
+        reason = dep.pair_violation(relation, i, j)
+        if reason is not None:
+            out.append(((i, j), reason))
+    return out
+
+
+def _denied(dc: DC, relation: Relation, assignment: dict[str, int]) -> bool:
+    return all(p.evaluate(relation, assignment) for p in dc.predicates)
+
+
+def _dc_variables(dc: DC) -> list[str]:
+    return sorted(set().union(*(p.variables() for p in dc.predicates)))
+
+
+def dc_violations(dc: DC, relation: Relation) -> Report:
+    """The ordered DC scan.
+
+    Single-tuple DCs check every row.  Two-tuple DCs check every
+    ordered assignment ``(tα, tβ)``, ``α != β``, in row-major order, and
+    report each unordered pair once, with the first denied orientation.
+    """
+    n = len(relation)
+    if dc.is_single_tuple:
+        (var,) = _dc_variables(dc)
+        return [
+            ((i,), "tuple satisfies all atoms")
+            for i in range(n)
+            if _denied(dc, relation, {var: i})
+        ]
+    out: dict[tuple[int, ...], str] = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or (min(i, j), max(i, j)) in out:
+                continue
+            if _denied(dc, relation, {ALPHA: i, BETA: j}):
+                out[(min(i, j), max(i, j))] = (
+                    f"(tα=t{i}, tβ=t{j}) satisfies all atoms"
+                )
+    return list(out.items())
+
+
+def dc_holds(dc: DC, relation: Relation) -> bool:
+    """No assignment of the ordered DC scan is denied."""
+    n = len(relation)
+    if dc.is_single_tuple:
+        (var,) = _dc_variables(dc)
+        return not any(_denied(dc, relation, {var: i}) for i in range(n))
+    return not any(
+        i != j and _denied(dc, relation, {ALPHA: i, BETA: j})
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def guard_pairs(
+    relation: Relation, lhs_test: Callable[[Relation, int, int], bool]
+) -> list[Pair]:
+    """The all-pairs guard scan: every pair ``i < j`` the LHS selects."""
+    return [(i, j) for i, j in _pairs(relation) if lhs_test(relation, i, j)]
+
+
+# -- guard-pair measures -----------------------------------------------------
+
+
+def md_matches(md: MD, relation: Relation) -> list[Pair]:
+    """``MD.matches``: the LHS-similar pairs (a CMD's condition aside)."""
+    return guard_pairs(relation, md.similar_on_lhs)
+
+
+def cd_confidence(cd: CD, relation: Relation) -> float:
+    """``CD.confidence``: the share of LHS-agreeing pairs meeting the RHS."""
+    agreeing = guard_pairs(relation, cd._lhs_agrees)
+    good = sum(cd.rhs.similar(relation, i, j, cd.registry) for i, j in agreeing)
+    return good / len(agreeing) if agreeing else 1.0
+
+
+def pac_pair_counts(pac: PAC, relation: Relation) -> tuple[int, int]:
+    """``PAC.pair_counts``: (#pairs close on X, #of those close on Y)."""
+    close = guard_pairs(relation, pac._lhs_close)
+    return len(close), sum(pac._rhs_close(relation, i, j) for i, j in close)
+
+
+def ned_support_and_confidence(
+    ned: NED, relation: Relation
+) -> tuple[int, float]:
+    """``NED.support_and_confidence``: (#LHS-agreeing pairs, RHS share)."""
+    agreeing = guard_pairs(relation, ned.lhs_agrees)
+    good = sum(ned.rhs_agrees(relation, i, j) for i, j in agreeing)
+    return len(agreeing), (good / len(agreeing) if agreeing else 1.0)
+
+
+def pac_violations(pac: PAC, relation: Relation) -> Report:
+    """The X-close pairs beyond the Y tolerance."""
+    return [
+        (pair, "within Δ on X but beyond ε on Y")
+        for pair in guard_pairs(relation, pac._lhs_close)
+        if not pac._rhs_close(relation, *pair)
+    ]
+
+
+# -- per-notation dispatch ---------------------------------------------------
+
+
+def violations(dep: Any, relation: Relation) -> Report:
+    """The reference ``(tuples, reason)`` report of a pair-checked notation,
+    in the order the plan kernels must reproduce."""
+    if isinstance(dep, DC):
+        return dc_violations(dep, relation)
+    if isinstance(dep, PAC):
+        return pac_violations(dep, relation)
+    return pair_violations(dep, relation)
+
+
+def holds(dep: Any, relation: Relation) -> bool:
+    """The reference verdict of a pair-checked notation."""
+    if isinstance(dep, DC):
+        return dc_holds(dep, relation)
+    if isinstance(dep, PAC):
+        close, good = pac_pair_counts(dep, relation)
+        return (good / close if close else 1.0) >= dep.confidence
+    return not pair_violations(dep, relation)

@@ -10,7 +10,8 @@ suite pins that claim two ways, over the same hostile value pool as
   the simplified plan's ``denies`` agrees with the raw compiled plan;
 * **violation-output identity** — ``violations()`` through the kernels
   is order-identical (same pairs, same reasons) with simplification on
-  (the default) and off (``REPRO_NO_SIMPLIFY=1``).
+  (the default) and off (the raw compiled plan pre-seeded into the
+  dependency's plan cache).
 
 The dependency list is seeded with rules the simplifier actually
 rewrites: duplicate atoms, subsumed clauses, mergeable metric
@@ -18,8 +19,6 @@ intervals, statically dead clauses, and fully unsatisfiable plans.
 """
 
 from __future__ import annotations
-
-import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -157,14 +156,13 @@ def _snapshot(dep, relation):
 @settings(max_examples=40, deadline=None)
 def test_kernel_output_with_and_without_simplification(relation):
     # Fresh dependency objects per pass: each carries its own cached
-    # plan, so the two passes genuinely compile under different modes.
-    os.environ["REPRO_NO_SIMPLIFY"] = "1"
-    try:
-        expected = [
-            _snapshot(dep, relation) for dep in make_dependencies()
-        ]
-    finally:
-        del os.environ["REPRO_NO_SIMPLIFY"]
+    # plan.  ``plan_for`` returns a cached plan whose source is the
+    # dependency itself, so pre-seeding the raw compiled plan makes the
+    # first pass run it unsimplified.
+    expected = []
+    for dep in make_dependencies():
+        dep._repro_plan = compile_dependency(dep)
+        expected.append(_snapshot(dep, relation))
     got = [_snapshot(dep, relation) for dep in make_dependencies()]
     labels = [dep.label() for dep in make_dependencies()]
     for label, want, have in zip(labels, expected, got, strict=True):

@@ -1,10 +1,14 @@
-"""Property tests: the encoded substrate must agree with the naive one.
+"""Property tests: the encoded substrate must agree with the value-tuple oracles.
 
-The dictionary-encoded fast path (``repro.relation.encoding``) re-implements
-group-by, stripped-partition construction, FastFD difference sets and FASTDC
-evidence sets over integer codes.  These hypothesis tests drive random
-relations — including ``None`` cells, NaN, bools, and mixed int/float/str
-values — through both paths and require bit-identical results.
+The dictionary-encoded substrate (``repro.relation.encoding``) implements
+group-by, projection, distinct counts, stripped-partition construction,
+FastFD difference sets and FASTDC evidence sets over integer codes.
+These hypothesis tests drive random relations — including ``None``
+cells, NaN, bools, and mixed int/float/str values — through it and
+require results bit-identical to the value-tuple reference
+implementations: ``tests/oracles.py`` for the grouping primitives, and
+the per-pair fallbacks the discovery modules keep for inputs the
+encoded kernels decline.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from repro.relation import (
     Relation,
     Schema,
     StrippedPartition,
-    encoded_enabled,
-    set_mode,
-    substrate_mode,
 )
 
+from . import oracles
+
 # A single shared NaN object: dict-key semantics (identity shortcut) make
-# repeated occurrences group together in the naive path, and the codebook
-# reproduces exactly that.
+# repeated occurrences group together in a value-tuple dict, and the
+# codebook reproduces exactly that.
 NAN = float("nan")
 
 MIXED = st.sampled_from(
@@ -56,119 +59,67 @@ def relations(draw, values=MIXED, max_cols=4, max_rows=25, numerical=False):
     return Relation.from_rows(schema, rows)
 
 
-def _both_modes(fn):
-    with substrate_mode("naive"):
-        naive = fn()
-    with substrate_mode("encoded"):
-        encoded = fn()
-    return naive, encoded
+def attribute_lists(r):
+    """All columns, the first, the last, and none (the trivial grouping)."""
+    names = r.schema.names()
+    return (names, names[:1], names[-1:], [])
 
 
 @settings(max_examples=120, deadline=None)
 @given(relations())
 def test_group_by_parity(r):
-    names = r.schema.names()
-    for attrs in (names, names[:1], names[-1:]):
-        naive, encoded = _both_modes(lambda: r.group_by(attrs))
-        assert naive == encoded
-        # Insertion (first-occurrence) order of groups must match too.
-        assert [sorted(g) for g in naive.values()] == [
-            sorted(g) for g in encoded.values()
-        ]
+    for attrs in attribute_lists(r):
+        # Same keys, members and first-occurrence group order.
+        assert list(r.group_by(attrs).items()) == list(
+            oracles.group_by(r, attrs).items()
+        )
 
 
 @settings(max_examples=120, deadline=None)
 @given(relations())
 def test_distinct_count_and_project_parity(r):
-    names = r.schema.names()
-    for attrs in (names, names[:1]):
-        n_naive, n_encoded = _both_modes(lambda: r.distinct_count(attrs))
-        assert n_naive == n_encoded
-        p_naive, p_encoded = _both_modes(lambda: len(r.project(attrs)))
-        assert p_naive == p_encoded
+    for attrs in attribute_lists(r):
+        assert r.distinct_count(attrs) == oracles.distinct_count(r, attrs)
+        if attrs:  # a zero-column relation holds no rows
+            assert r.project(attrs).rows() == oracles.project(r, attrs)
 
 
 @settings(max_examples=120, deadline=None)
 @given(relations())
 def test_stripped_partition_parity(r):
-    names = r.schema.names()
-    for attrs in (names, names[:1]):
-        naive, encoded = _both_modes(
-            lambda: StrippedPartition.from_relation(r, attrs)
-        )
-        assert naive == encoded
-        assert hash(naive) == hash(encoded)
+    for attrs in attribute_lists(r):
+        encoded = StrippedPartition.from_relation(r, attrs)
+        expected = oracles.stripped_partition(r, attrs)
+        assert encoded == expected
+        assert hash(encoded) == hash(expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(relations(max_cols=4, max_rows=18))
 def test_difference_sets_parity(r):
-    naive = _difference_sets_naive(r)
-    with substrate_mode("encoded"):
-        encoded = difference_sets(r)
-    assert naive == encoded
+    assert difference_sets(r) == _difference_sets_naive(r)
 
 
 @settings(max_examples=40, deadline=None)
 @given(relations(values=NUMERIC, max_cols=3, max_rows=10, numerical=True))
 def test_evidence_sets_parity_numerical(r):
     space = build_predicate_space(r, cross_columns=True)
-    naive = _evidence_sets_naive(r, space)
-    with substrate_mode("encoded"):
-        encoded = evidence_sets(r, space)
-    assert naive == encoded
+    assert evidence_sets(r, space) == _evidence_sets_naive(r, space)
 
 
 @settings(max_examples=40, deadline=None)
 @given(relations(max_cols=3, max_rows=10))
 def test_evidence_sets_parity_categorical(r):
     space = build_predicate_space(r)
-    naive = _evidence_sets_naive(r, space)
-    with substrate_mode("encoded"):
-        encoded = evidence_sets(r, space)
-    assert naive == encoded
-
-
-# -- mode plumbing -----------------------------------------------------------
-
-
-def test_env_flag_forces_naive(monkeypatch):
-    set_mode(None)
-    monkeypatch.delenv("REPRO_NAIVE_SUBSTRATE", raising=False)
-    assert encoded_enabled()
-    monkeypatch.setenv("REPRO_NAIVE_SUBSTRATE", "1")
-    assert not encoded_enabled()
-    monkeypatch.setenv("REPRO_NAIVE_SUBSTRATE", "0")
-    assert encoded_enabled()
-
-
-def test_set_mode_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NAIVE_SUBSTRATE", "1")
-    set_mode("encoded")
-    try:
-        assert encoded_enabled()
-    finally:
-        set_mode(None)
-    assert not encoded_enabled()
-
-
-def test_substrate_mode_restores():
-    set_mode(None)
-    before = encoded_enabled()
-    with substrate_mode("naive"):
-        assert not encoded_enabled()
-        with substrate_mode("encoded"):
-            assert encoded_enabled()
-        assert not encoded_enabled()
-    assert encoded_enabled() is before
+    assert evidence_sets(r, space) == _evidence_sets_naive(r, space)
 
 
 def test_nan_groups_like_dict_keys():
     """Repeated occurrences of one NaN object share a group, like dicts."""
     schema = Schema([Attribute("A")])
     r = Relation.from_rows(schema, [(NAN,), (NAN,), (1,)])
-    naive, encoded = _both_modes(lambda: r.group_by(["A"]))
-    assert naive == encoded
+    encoded = r.group_by(["A"])
+    assert encoded == oracles.group_by(r, ["A"])
     assert sorted(len(g) for g in encoded.values()) == [1, 2]
 
 
@@ -176,6 +127,6 @@ def test_bool_int_float_share_codes():
     """1 == 1.0 == True must collapse to one group (dict equality)."""
     schema = Schema([Attribute("A")])
     r = Relation.from_rows(schema, [(1,), (1.0,), (True,), (2,)])
-    naive, encoded = _both_modes(lambda: r.group_by(["A"]))
-    assert naive == encoded
+    encoded = r.group_by(["A"])
+    assert encoded == oracles.group_by(r, ["A"])
     assert sorted(len(g) for g in encoded.values()) == [1, 3]

@@ -43,7 +43,6 @@ from repro.plan.parallel import MIN_ROWS, last_run
 from repro.plan.slabs import load_shared, release_shared
 from repro.quality.detection import Detector
 from repro.relation import Attribute, AttributeType, Relation, Schema
-from repro.relation.encoding import substrate_mode
 from repro.runtime import Budget, BudgetExhausted, ShardToken, governed
 
 
@@ -387,7 +386,7 @@ class TestPropertyParity:
     )
     @given(
         rel=tiny_relations(),
-        backend=st.sampled_from(["naive", "scalar", "vector"]),
+        backend=st.sampled_from(["scalar", "vector"]),
         dep_ix=st.integers(min_value=0, max_value=2),
         restrict=st.none() | st.sets(st.integers(0, 23), max_size=4),
     )
@@ -399,9 +398,7 @@ class TestPropertyParity:
             OD(["A0"], ["A1"]),
             DC([pred2("A0", "="), pred2("A1", "!=")]),
         ][dep_ix]
-        substrate = "naive" if backend == "naive" else None
-        kb = "scalar" if backend == "naive" else backend
-        with substrate_mode(substrate), kernel_backend(kb):
+        with kernel_backend(backend):
             if restrict is None:
                 one = Detector([dep]).detect(rel)
                 four_vs = run_dep(dep, rel, workers=4)

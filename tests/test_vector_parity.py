@@ -1,15 +1,18 @@
-"""Property tests: the vectorized backend must agree with everything.
+"""Property tests: both kernel backends must agree with the oracles.
 
-``test_plan_parity`` pins scalar plan kernels to the naive scan; this
-suite adds the third path — the columnar kernels of
-``repro.plan.kernels_vec`` under a forced ``kernel_backend("vector")``
-— and drives all three to identical violation lists over the same
+``test_plan_parity`` pins the plan kernels to the all-pairs reference
+scans of ``tests/oracles.py``; this suite forces each backend in turn —
+the scalar kernels under ``kernel_backend("scalar")`` and the columnar
+kernels of ``repro.plan.kernels_vec`` under ``kernel_backend("vector")``
+— and drives both to the oracle's violation lists over the same
 hostile value pool (``None``/NaN/bool/int/float/str), plus the edge
 regimes the batch code paths are most likely to get wrong: all-NaN and
 all-``None`` columns, empty and single-row relations, ``restrict=``
-and ``first_only=``.  Non-vectorizable plans (opaque predicates,
-string order columns, text metrics) must *fall back* to the scalar
-kernels, which is asserted through the backend-aware counters.
+and ``first_only=``.  The guard-plan measures (MD/CMD matches, CD
+confidence, PAC pair counts, NED support) must equal the all-pairs
+guard scan.  Non-vectorizable plans (opaque predicates, string order
+columns, text metrics) must *fall back* to the scalar kernels, which is
+asserted through the backend-aware counters.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from repro.plan import (
     kernel_backend,
     pairwise_violations,
     plan_for,
-    plan_mode,
 )
 from repro.relation import Attribute, AttributeType, Relation, Schema
+
+from . import oracles
 
 # A single shared NaN object: dict-key semantics (identity shortcut)
 # make repeated occurrences group together; all paths must agree.
@@ -91,23 +95,28 @@ def snapshot(dep, relation):
 
 
 def three_way(dep, relation):
-    """(naive, scalar-plan, vectorized-plan) snapshots."""
-    with plan_mode("naive"):
-        naive = snapshot(dep, relation)
-    with kernel_backend("scalar"), plan_mode("plan"):
+    """(oracle, scalar-plan, vectorized-plan) reports.
+
+    FD keeps its own group scan, with its own pair order and reasons,
+    so its reports reduce to violating tuple sets.
+    """
+    with kernel_backend("scalar"):
         scalar = snapshot(dep, relation)
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         vector = snapshot(dep, relation)
-    return naive, scalar, vector
+    reports = (oracles.violations(dep, relation), scalar, vector)
+    if isinstance(dep, FD):
+        return tuple({t for t, __ in report} for report in reports)
+    return reports
 
 
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_three_way_parity_mixed(relation):
     for dep in make_dependencies():
-        naive, scalar, vector = three_way(dep, relation)
-        assert scalar == naive, f"scalar divergence for {dep.label()}"
-        assert vector == naive, f"vector divergence for {dep.label()}"
+        oracle, scalar, vector = three_way(dep, relation)
+        assert scalar == oracle, f"scalar divergence for {dep.label()}"
+        assert vector == oracle, f"vector divergence for {dep.label()}"
 
 
 @given(relations(pool=NUMERIC, attr_type=AttributeType.NUMERICAL))
@@ -115,9 +124,54 @@ def test_three_way_parity_mixed(relation):
 def test_three_way_parity_numeric(relation):
     """NUMERICAL attributes resolve abs_diff: the vec-metric path."""
     for dep in make_dependencies():
-        naive, scalar, vector = three_way(dep, relation)
-        assert scalar == naive, f"scalar divergence for {dep.label()}"
-        assert vector == naive, f"vector divergence for {dep.label()}"
+        oracle, scalar, vector = three_way(dep, relation)
+        assert scalar == oracle, f"scalar divergence for {dep.label()}"
+        assert vector == oracle, f"vector divergence for {dep.label()}"
+
+
+#: One guard-plan measure per notation that has one, with its all-pairs
+#: reference.  CMD's guard omits its condition, like ``MD.matches``.
+GUARD_MEASURES = [
+    (MD({"A0": 2.0}, ["A1"]), MD.matches, oracles.md_matches),
+    (CMD({"A0": 2.0}, "A1", {"A2": 1}), CMD.matches, oracles.md_matches),
+    (
+        CD(
+            [SimilarityFunction("A0", "A1", threshold_ij=2.0)],
+            SimilarityFunction("A1", "A2", threshold_ij=1.0),
+        ),
+        CD.confidence,
+        oracles.cd_confidence,
+    ),
+    (
+        PAC({"A0": 2.0}, {"A1": 1.0}, 0.8),
+        PAC.pair_counts,
+        oracles.pac_pair_counts,
+    ),
+    (
+        NED({"A0": 2.0}, {"A1": 1.0}),
+        NED.support_and_confidence,
+        oracles.ned_support_and_confidence,
+    ),
+]
+
+
+@given(
+    st.one_of(
+        relations(),
+        relations(pool=NUMERIC, attr_type=AttributeType.NUMERICAL),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_guard_measures_match_all_pairs_scan(relation):
+    """Guard plans prune the pair space of the LHS-selected measures;
+    both backends must still select exactly the all-pairs scan's pairs,
+    in order, and the measures built on them must match exactly."""
+    for dep, measure, reference in GUARD_MEASURES:
+        expected = reference(dep, relation)
+        for backend in ("scalar", "vector"):
+            with kernel_backend(backend):
+                got = measure(dep, relation)
+            assert got == expected, (backend, dep.label())
 
 
 @given(st.integers(min_value=0, max_value=5))
@@ -136,9 +190,9 @@ def test_degenerate_columns(n_rows):
     ):
         relation = Relation.from_rows(schema, [cols] * n_rows)
         for dep in make_dependencies():
-            naive, scalar, vector = three_way(dep, relation)
-            assert scalar == naive, (dep.label(), cols)
-            assert vector == naive, (dep.label(), cols)
+            oracle, scalar, vector = three_way(dep, relation)
+            assert scalar == oracle, (dep.label(), cols)
+            assert vector == oracle, (dep.label(), cols)
 
 
 def test_empty_and_single_row():
@@ -148,8 +202,8 @@ def test_empty_and_single_row():
     for rows in ([], [(1.0, 2.0, 3.0)]):
         relation = Relation.from_rows(schema, rows)
         for dep in make_dependencies():
-            naive, scalar, vector = three_way(dep, relation)
-            assert scalar == naive == vector, dep.label()
+            oracle, scalar, vector = three_way(dep, relation)
+            assert scalar == oracle == vector, dep.label()
 
 
 @given(
@@ -165,15 +219,8 @@ def test_restrict_parity_vectorized(relation, restrict):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            expected = [
-                ((i, j), reason)
-                for i, j in relation.tuple_pairs()
-                if (i in restrict or j in restrict)
-                and (reason := dep.pair_violation(relation, i, j))
-                is not None
-            ]
-        with kernel_backend("vector"), plan_mode("plan"):
+        expected = oracles.pair_violations(dep, relation, restrict)
+        with kernel_backend("vector"):
             got = [
                 (v.tuples, v.reason)
                 for v in pairwise_violations(dep, relation, restrict=restrict)
@@ -190,14 +237,9 @@ def test_first_only_matches_existence_vectorized(relation):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            any_naive = any(
-                dep.pair_violation(relation, i, j) is not None
-                for i, j in relation.tuple_pairs()
-            )
-        with kernel_backend("vector"), plan_mode("plan"):
+        with kernel_backend("vector"):
             first = pairwise_violations(dep, relation, first_only=True)
-        assert bool(first) == any_naive, (
+        assert bool(first) == bool(oracles.pair_violations(dep, relation)), (
             f"first_only divergence for {dep.label()}"
         )
 
@@ -228,11 +270,9 @@ def test_static_fallback_counter_asserted():
     for dep in deps:
         assert not plan_for(dep).vector_eligible, dep.label()
         COUNTERS.reset()
-        with plan_mode("naive"):
-            expected = snapshot(dep, relation)
-        with kernel_backend("vector"), plan_mode("plan"):
+        with kernel_backend("vector"):
             got = snapshot(dep, relation)
-        assert got == expected, dep.label()
+        assert got == oracles.violations(dep, relation), dep.label()
         assert COUNTERS.by_strategy, dep.label()
         assert not any(
             s.startswith("vec-") for s in COUNTERS.by_strategy
@@ -252,11 +292,9 @@ def test_dynamic_fallback_string_order_columns():
     dep = OD([("A0", "<=")], [("A1", "<=")])
     assert plan_for(dep).vector_eligible
     COUNTERS.reset()
-    with plan_mode("naive"):
-        expected = snapshot(dep, relation)
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         got = snapshot(dep, relation)
-    assert got == expected
+    assert got == oracles.violations(dep, relation)
     assert not any(s.startswith("vec-") for s in COUNTERS.by_strategy)
     assert COUNTERS.backends() == {"scalar": COUNTERS.executions}
 
@@ -267,10 +305,9 @@ def test_vectorized_counters_recorded():
     relation = _rows_numeric(32)
     dep = MFD(["A0"], ["A1"], 0.5)
     COUNTERS.reset()
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         got = snapshot(dep, relation)
-    with plan_mode("naive"):
-        assert got == snapshot(dep, relation)
+    assert got == oracles.violations(dep, relation)
     assert COUNTERS.by_strategy.get("vec-group")
     assert COUNTERS.chunks > 0
     assert COUNTERS.candidates_by_strategy.get("vec-group", 0) > 0
@@ -286,7 +323,7 @@ def test_pruned_fraction_zero_candidate_guard():
         Schema([Attribute("A0", AttributeType.NUMERICAL)]), []
     )
     dep = FD(["A0"], ["A0"])
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         assert snapshot(dep, relation) == []
     assert COUNTERS.pruned_fraction() == 0.0
 
@@ -463,7 +500,7 @@ CARRY_DEPS = [
 
 def _restricted(dep, relation, restrict):
     check = denial_violations if isinstance(dep, DC) else pairwise_violations
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         return [
             (v.tuples, v.reason)
             for v in check(dep, relation, restrict=restrict)
