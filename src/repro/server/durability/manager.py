@@ -38,6 +38,7 @@ from ...analysis import lint_entries
 from ...incremental import IncrementalDetector
 from ...incremental.delta import Delta
 from ...relation import Relation, Schema
+from ...relation.encoding import iter_relation_state
 from ...rules_io import parse_rules_with_meta
 from ...runtime import faults
 from ..state import Tenant, parse_schema
@@ -224,7 +225,7 @@ class DurabilityManager:
             "created_at": tenant.created_at,
             "seq": log.next_seq - 1,
             "schema": _schema_payload(tenant.schema),
-            "relation": relation.to_state(),
+            "relation": iter_relation_state(relation),
             "rules_payload": tenant.rules_payload,
             "batches_ingested": tenant.batches_ingested,
             "rows_ingested": tenant.rows_ingested,

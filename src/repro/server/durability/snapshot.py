@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -33,29 +34,70 @@ class SnapshotCorruption(ValueError):
 def write_snapshot(directory: Path | str, state: dict[str, Any]) -> Path:
     """Atomically persist ``state`` as the tenant's snapshot.
 
+    The body is written piece by piece (see :func:`_encode`), and an
+    iterator anywhere in ``state`` is written as a JSON array one item
+    at a time, so a relation state from
+    :func:`repro.relation.encoding.iter_relation_state` is never in
+    memory whole, as objects or as text.  The header's CRC is
+    fixed-width, written as zeros and filled in after the body.
+
     When the ``snapshot-write`` crash point is armed, the process dies
-    after writing half the temporary file — the rename never happens,
-    so recovery must still find the previous snapshot intact.
+    after writing the first piece of the temporary file — the rename
+    never happens, so recovery must still find the previous snapshot
+    intact.
     """
     directory = Path(directory)
-    body = json.dumps(state, separators=(",", ":"), allow_nan=True)
-    text = f"{_HEADER_PREFIX}{zlib.crc32(body.encode('utf-8'))}\n{body}"
     tmp = directory / (SNAPSHOT_NAME + ".tmp")
     final = directory / SNAPSHOT_NAME
-    with open(tmp, "w", encoding="utf-8") as f:
-        if faults.crash_armed("snapshot-write"):
-            half = max(1, len(text) // 2)
-            f.write(text[:half])
-            f.flush()
-            faults.crash_point("snapshot-write")
-            f.write(text[half:])
-        else:
-            f.write(text)
+    crash = faults.crash_armed("snapshot-write")
+    crc = 0
+    with open(tmp, "wb") as f:
+        f.write(_header(crc))
+        for piece in _encode(state):
+            data = piece.encode("utf-8")
+            crc = zlib.crc32(data, crc)
+            f.write(data)
+            if crash:
+                crash = False
+                f.flush()
+                faults.crash_point("snapshot-write")
+        f.seek(0)
+        f.write(_header(crc))
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, final)
     _fsync_dir(directory)
     return final
+
+
+def _header(crc: int) -> bytes:
+    return f"{_HEADER_PREFIX}{crc:010d}\n".encode("ascii")
+
+
+def _encode(value: Any) -> Iterator[str]:
+    """The compact JSON text of ``value``, in pieces: a dict key by key,
+    an iterator item by item, anything else in one ``json.dumps``."""
+    if isinstance(value, dict):
+        yield "{"
+        sep = ""
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"snapshot keys must be strings, not {key!r}")
+            yield sep + json.dumps(key) + ":"
+            yield from _encode(item)
+            sep = ","
+        yield "}"
+    elif isinstance(value, Iterator):
+        yield "["
+        sep = ""
+        for item in value:
+            if sep:
+                yield sep
+            yield from _encode(item)
+            sep = ","
+        yield "]"
+    else:
+        yield json.dumps(value, separators=(",", ":"), allow_nan=True)
 
 
 def load_snapshot(directory: Path | str) -> dict[str, Any] | None:

@@ -21,8 +21,10 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
+import zlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from repro.incremental import IncrementalDetector
 from repro.incremental.delta import Delta
 from repro.quality.detection import Detector
 from repro.relation import Relation, Schema
+from repro.relation.encoding import iter_relation_state
 from repro.server import OverloadConfig, ReproApp
 from repro.server.durability import (
     CircuitBreaker,
@@ -210,6 +213,56 @@ class TestSnapshot:
         (tmp_path / "snapshot.json").write_text("not a snapshot\n{}")
         with pytest.raises(SnapshotCorruption, match="header"):
             load_snapshot(tmp_path)
+
+    def test_body_is_the_one_shot_json(self, tmp_path):
+        state = {
+            "version": 1,
+            "nested": {"a": [1, {"b": None}], "e": {}, "l": []},
+            "x": [float("nan"), float("inf"), "é", True],
+        }
+        write_snapshot(tmp_path, state)
+        header, body = (tmp_path / "snapshot.json").read_bytes().split(b"\n", 1)
+        expected = json.dumps(state, separators=(",", ":"), allow_nan=True)
+        assert body == expected.encode("utf-8")
+        assert header == b"repro-snapshot-v1 crc32=%010d" % zlib.crc32(body)
+
+    def test_iterators_are_written_as_arrays(self, tmp_path):
+        state = {
+            "version": 1,
+            "rows": iter([{"a": 1}, (x for x in [2, 3])]),
+            "none": iter(()),
+        }
+        write_snapshot(tmp_path, state)
+        assert load_snapshot(tmp_path) == {
+            "version": 1, "rows": [{"a": 1}, [2, 3]], "none": []
+        }
+
+    def test_non_string_key_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="strings"):
+            write_snapshot(tmp_path, {"version": 1, "m": {1: "x"}})
+
+    def test_relation_state_is_written_one_column_at_a_time(self, tmp_path):
+        n, width = 20_000, 8
+        schema = parse_schema({"attributes": [f"c{j}" for j in range(width)]})
+        rel = Relation.from_rows(
+            schema, [tuple(f"v{i}-{j}" for j in range(width)) for i in range(n)]
+        )
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            eager = rel.to_state()
+            eager_bytes = tracemalloc.get_traced_memory()[0] - base
+            del eager
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            write_snapshot(tmp_path, {"relation": iter_relation_state(rel)})
+            streamed_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Eight equal columns: about two columns' worth is alive at once.
+        assert streamed_peak < eager_bytes / 2
+        back = Relation.from_state(load_snapshot(tmp_path)["relation"])
+        assert back.rows() == rel.rows()
 
 
 # ---------------------------------------------------------------------------
