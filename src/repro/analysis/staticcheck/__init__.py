@@ -4,9 +4,9 @@ PR 5 turned static analysis on the *rules* users hand us (DD001–DD009);
 this package turns the same machinery on the codebase itself.  The
 system's correctness rests on cross-cutting invariants no unit test can
 pin exhaustively — every kernel candidate loop reaches a budget
-``checkpoint()``, kernels never touch a ``Relation``, shared-memory
-segments are released on every path, lock acquisition stays acyclic,
-only picklable module-level work crosses the fork boundary, the WAL
+``checkpoint()``, kernels never touch a ``Relation``, lock
+acquisition stays acyclic, process pools fork only from the main
+thread and run only module-level work, the WAL
 append dominates the ack, async handlers never block the loop, and
 broad exception handlers never swallow ``BudgetExhausted``.  Each is an
 AST pass (stdlib ``ast``, no dependencies) emitting stable ``SC0xx``

@@ -3,9 +3,10 @@
 PR 5's ``DD0xx`` codes lint the *rules* the user hands us; the ``SC0xx``
 codes lint the *codebase itself* — the cross-cutting invariants the
 concurrent system rests on (budget checkpoints, engine neutrality,
-shared-memory lifecycle, lock ordering, fork safety, WAL-before-ack,
-async hygiene, exception discipline).  Codes are stable and must never
-be renumbered; the catalog lives in ``docs/staticcheck.md``:
+lock ordering, fork safety, WAL-before-ack, async hygiene, exception
+discipline).  Codes are stable and must never be renumbered, and a
+retired code is never reused; the catalog lives in
+``docs/staticcheck.md``:
 
 ===== ========================== ========
 code  name                       severity
@@ -13,7 +14,7 @@ code  name                       severity
 SC000 bad-suppression            error
 SC001 missing-checkpoint         error
 SC002 engine-neutrality          error
-SC003 leaked-shared-memory       error
+SC003 leaked-shared-memory       retired
 SC004 lock-order                 error
 SC005 fork-safety                error
 SC006 ack-before-wal             error
@@ -30,6 +31,7 @@ from typing import Any
 from ..diagnostics import Severity
 
 __all__ = [
+    "RETIRED_CODES",
     "SC_CODES",
     "CheckCode",
     "Finding",
@@ -61,11 +63,6 @@ ENGINE_NEUTRALITY = CheckCode(
     "SC002", "engine-neutrality", Severity.ERROR,
     "a kernel module references the Relation substrate it must stay "
     "neutral of",
-)
-LEAKED_SHARED_MEMORY = CheckCode(
-    "SC003", "leaked-shared-memory", Severity.ERROR,
-    "a shared-memory handle is created on a path that can exit without "
-    "releasing it",
 )
 LOCK_ORDER = CheckCode(
     "SC004", "lock-order", Severity.ERROR,
@@ -100,13 +97,18 @@ SC_CODES: dict[str, CheckCode] = {
         BAD_SUPPRESSION,
         MISSING_CHECKPOINT,
         ENGINE_NEUTRALITY,
-        LEAKED_SHARED_MEMORY,
         LOCK_ORDER,
         FORK_SAFETY,
         ACK_BEFORE_WAL,
         BLOCKING_IN_ASYNC,
         SWALLOWED_EXCEPTION,
     )
+}
+
+#: Retired code -> why; a retired number is never registered again.
+RETIRED_CODES: dict[str, str] = {
+    "SC003": "leaked-shared-memory: no code creates a named "
+    "shared-memory segment any more",
 }
 
 

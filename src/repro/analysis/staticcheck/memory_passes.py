@@ -1,19 +1,13 @@
-"""Shared-memory lifecycle (SC003) and fork safety (SC005).
-
-SC003 models the ownership discipline of :mod:`repro.plan.slabs` and
-:mod:`repro.runtime.budget`: a function that *creates* a shared-memory
-resource (a raw ``SharedMemory`` block, a ``ShardToken``) must either
-hand ownership off — return/yield it, store it in a registry attribute
-or subscript — or guarantee release on every exit path via a
-``finally`` block that closes/unlinks it.  Anything else leaks a
-``/dev/shm`` segment the moment an unexpected exception (including
-``KeyboardInterrupt``) unwinds through the function.
+"""Fork safety (SC005).
 
 SC005 models the fork-context process-pool rules: pools are created
 only on the main thread (forking a multi-threaded parent from a helper
 thread deadlocks), and only module-level callables are submitted —
 closures and bound methods may pickle, but drag captured state across
 the fork boundary where it silently diverges.
+
+(SC003, the shared-memory lifecycle check, is retired: nothing creates
+a named shared-memory segment any more.)
 """
 
 from __future__ import annotations
@@ -22,130 +16,12 @@ import ast
 from collections.abc import Iterable
 
 from .base import CheckPass, call_target, walk_scope
-from .findings import (
-    FORK_SAFETY,
-    LEAKED_SHARED_MEMORY,
-    Finding,
-    make_finding,
-)
+from .findings import FORK_SAFETY, Finding, make_finding
 from .model import SourceModule
 
-__all__ = ["ForkSafetyPass", "SharedMemoryLifecyclePass"]
-
-#: Call-target suffixes that create an owned shared-memory resource.
-CREATOR_SUFFIXES = (
-    "SharedMemory",
-    "ShardToken.create",
-    "ShardToken.attach",
-    "_attach_block",
-)
-#: A call whose target contains one of these releases resources.
-RELEASER_HINTS = ("release",)
-_CLOSERS = {"close", "unlink"}
+__all__ = ["ForkSafetyPass"]
 
 _Func = ast.FunctionDef | ast.AsyncFunctionDef
-
-
-def _is_creator(call: ast.Call) -> bool:
-    target = call_target(call)
-    return bool(target) and any(
-        target == suf or target.endswith("." + suf)
-        for suf in CREATOR_SUFFIXES
-    )
-
-
-def _name_in(tree: ast.AST, name: str) -> bool:
-    """True when the *handle itself* appears in ``tree``.
-
-    An attribute read (``token.name``) hands off a derived value, not
-    the resource, so Name nodes that are the base of an Attribute do
-    not count.
-    """
-    attr_bases = {
-        id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
-    }
-    return any(
-        isinstance(n, ast.Name) and n.id == name and id(n) not in attr_bases
-        for n in ast.walk(tree)
-    )
-
-
-class SharedMemoryLifecyclePass(CheckPass):
-    """SC003: created shared-memory handles escape or hit a finally."""
-
-    code = "SC003"
-    name = "leaked-shared-memory"
-
-    def run(self, module: SourceModule) -> Iterable[Finding]:
-        for func in (
-            n for n in ast.walk(module.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ):
-            yield from self._check_function(module, func)
-
-    def _check_function(
-        self, module: SourceModule, func: _Func
-    ) -> Iterable[Finding]:
-        for stmt in walk_scope(func, include_root=False):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if not isinstance(stmt.value, ast.Call):
-                continue
-            if not _is_creator(stmt.value):
-                continue
-            targets = [
-                t.id for t in stmt.targets if isinstance(t, ast.Name)
-            ]
-            for name in targets:
-                if self._escapes(func, name):
-                    continue
-                if self._released_in_finally(func, name):
-                    continue
-                yield make_finding(
-                    LEAKED_SHARED_MEMORY, module.path, stmt.lineno,
-                    f"{name!r} holds a shared-memory resource from "
-                    f"{call_target(stmt.value)}() but no finally block "
-                    "releases it and it never escapes this function; an "
-                    "unexpected exception leaks the segment",
-                    context=module.context_of(stmt),
-                )
-
-    @staticmethod
-    def _escapes(func: _Func, name: str) -> bool:
-        """Returned/yielded, or stored into an attribute/subscript."""
-        for node in walk_scope(func, include_root=False):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if _name_in(node.value, name):
-                    return True
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and _name_in(value, name):
-                    return True
-            if isinstance(node, ast.Assign):
-                stored = any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                )
-                if stored and _name_in(node.value, name):
-                    return True
-        return False
-
-    @staticmethod
-    def _released_in_finally(func: _Func, name: str) -> bool:
-        for node in walk_scope(func, include_root=False):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for stmt in node.finalbody:
-                for call in ast.walk(stmt):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    target = call_target(call)
-                    head, _, tail = target.rpartition(".")
-                    if tail in _CLOSERS and head.split(".")[-1] == name:
-                        return True
-                    if any(h in target.lower() for h in RELEASER_HINTS):
-                        return True
-        return False
 
 
 class ForkSafetyPass(CheckPass):

@@ -27,7 +27,7 @@ __all__ = [
     "parse_suppressions",
 ]
 
-#: ``# staticcheck: disable=SC001,SC003 — why this is fine``
+#: ``# staticcheck: disable=SC001,SC004 — why this is fine``
 _SUPPRESS_RE = re.compile(
     r"#\s*staticcheck:\s*disable=(?P<codes>[A-Z0-9,\s]+?)"
     r"(?:\s*[—–-]+\s*(?P<reason>.*))?$"

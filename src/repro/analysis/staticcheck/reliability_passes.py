@@ -4,8 +4,9 @@ SC006 — the WAL contract of :mod:`repro.server.durability`: a batch
 must be on disk *before* the state it acknowledges exists.  In any
 server function that both persists (``log_batch``/``log_rules``/
 ``log_register``) and commits (applies a delta to the detector, or
-installs a new detector), the persist call must lexically dominate the
-commit; the reversed order acks state a crash would forget.
+installs a new detector or rule set), the persist call must lexically
+dominate the commit; the reversed order acks state a crash would
+forget.
 
 SC008 — the exception taxonomy of :mod:`repro.runtime.errors`:
 ``BudgetExhausted`` is control flow (honest partials) and
@@ -47,14 +48,16 @@ def _is_server_module(module: SourceModule) -> bool:
 
 
 def _commit_line(node: ast.AST) -> int | None:
-    """Line of a state-commit: ``detector.apply(...)`` or
-    ``<x>.detector = ...``."""
+    """Line of a state-commit: ``detector.apply(...)``,
+    ``<x>.install_rules(...)`` or ``<x>.detector = ...``."""
     if isinstance(node, ast.Call):
         target = call_target(node)
         parts = target.split(".")
         if parts[-1] == "apply" and len(parts) > 1 and (
             "detector" in parts[-2]
         ):
+            return node.lineno
+        if parts[-1] == "install_rules" and len(parts) > 1:
             return node.lineno
     if isinstance(node, ast.Assign):
         for tgt in node.targets:

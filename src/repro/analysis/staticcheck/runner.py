@@ -21,7 +21,7 @@ from .base import CheckPass
 from .concurrency_passes import AsyncBlockingPass, LockOrderPass
 from .findings import BAD_SUPPRESSION, Finding, make_finding
 from .kernels_passes import BudgetCheckpointPass, EngineNeutralityPass
-from .memory_passes import ForkSafetyPass, SharedMemoryLifecyclePass
+from .memory_passes import ForkSafetyPass
 from .model import SourceModule, Suppression, load_source
 from .reliability_passes import ExceptionDisciplinePass, WalBeforeAckPass
 
@@ -42,7 +42,6 @@ def default_passes() -> list[CheckPass]:
     return [
         BudgetCheckpointPass(),
         EngineNeutralityPass(),
-        SharedMemoryLifecyclePass(),
         LockOrderPass(),
         ForkSafetyPass(),
         WalBeforeAckPass(),

@@ -443,9 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workers_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers", type=int, default=None,
-            help="processes for sharded pairwise checking on relations "
-            "of at least 2048 rows (default: serial); results are "
-            "order-identical to serial execution",
+            help="forked processes for sharded pairwise checking on "
+            "relations of at least 2048 rows (default: serial); results "
+            "are order-identical to serial execution; pays on "
+            "verify-heavy rules such as an MD over edit distance, not "
+            "on vectorized ones",
         )
 
     p_profile = sub.add_parser(
@@ -645,10 +647,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if workers is not None:
         from .plan import set_workers
 
-        # check/profile fan out from this (main) thread; the pool forks
-        # at the first fan-out.  serve takes no process count: its
-        # --workers sizes thread pools, and off-main-thread checks are
-        # always serial.
+        # check/profile fan out from this (main) thread; each fan-out
+        # forks a fresh worker set once its job is bound.  serve takes
+        # no process count: its --workers sizes thread pools, and
+        # off-main-thread checks are always serial.
         set_workers(workers)
     try:
         return args.func(args)

@@ -86,33 +86,6 @@ class Metric:
     def __repr__(self) -> str:
         return f"Metric({self.name!r})"
 
-    def __reduce__(self):
-        # The shipped metrics are module-level singletons whose distance
-        # functions are lambdas — unpicklable as-is, which would bar
-        # every metric-bearing dependency from the parallel executor.
-        # A built-in singleton pickles by *name* and resolves back to
-        # the same object; custom instances use default pickling (and
-        # picklability then depends on their functions, as usual).
-        try:
-            if _builtin_metric(self.name) is self:
-                return (_builtin_metric, (self.name,))
-        # staticcheck: disable=SC008 — pickling fallback: resolution
-        # failure just defers to default pickling; no budget runs here.
-        except Exception:
-            pass
-        return super().__reduce__()
-
-
-def _builtin_metric(name: str) -> "Metric":
-    """Resolve a shipped metric singleton by name (pickle helper)."""
-    from . import fuzzy, numeric, string
-
-    for mod in (numeric, string, fuzzy):
-        for obj in vars(mod).values():
-            if isinstance(obj, Metric) and obj.name == name:
-                return obj
-    raise LookupError(f"no built-in metric named {name!r}")
-
 
 def check_metric_axioms(
     metric: Metric, samples: list[Value], *, tolerance: float = 1e-9

@@ -62,7 +62,7 @@ from .parallel import (
     workers,
     workers_mode,
 )
-from .slabs import ColumnSlabs, ExecutionContext, context_for
+from .slabs import ExecutionContext, context_for
 
 __all__ = [
     "ALPHA",
@@ -96,7 +96,6 @@ __all__ = [
     "pairwise_violations",
     "plan_for",
     "strategy_hint",
-    "ColumnSlabs",
     "ExecutionContext",
     "context_for",
     "resolve_workers",

@@ -9,9 +9,9 @@ between the notations and that engine:
 * :func:`plan_for` / :func:`guard_plan_for` — per-dependency compiled
   plan caches (compile → simplify, instance-cached on the dependency);
 * :func:`build_verify` — the three verify-closure shapes ("pair",
-  "denial", "guard") shared by the serial executor *and* the worker
-  processes of :mod:`repro.plan.parallel`, so both paths re-check
-  candidates with literally the same code;
+  "denial", "guard").  One closure serves the serial executor *and*
+  the forked shards of :mod:`repro.plan.parallel`, which inherit it,
+  so both paths re-check candidates with literally the same code;
 * :func:`pairwise_violations` / :func:`denial_violations` /
   :func:`guard_pairs` — the calls the detection, incremental and
   discovery engines make.  Each accepts ``workers=`` and consults the
@@ -73,10 +73,9 @@ def build_verify(
     """The verify closure for one execution mode, bound to ``source``.
 
     The notation's own definitional predicate stays the single source
-    of truth for what a violation/match *is*; the closure shapes are
-    shared between the serial executor and the shard workers (which
-    rebuild them around the snapshot reconstructed from the slabs), so
-    both report identical keys and payloads.
+    of truth for what a violation/match *is*; the serial executor and
+    the forked shards call the same closure, so both report identical
+    keys and payloads.
     """
     if mode == "pair":
         from ..core.violation import Violation
@@ -123,32 +122,35 @@ def build_verify(
     raise ValueError(f"unknown verify mode {mode!r}")
 
 
-def _try_parallel(
-    dep: Any,
-    source: Any,
+def _execute(
     plan: Plan,
-    mode: str,
-    extra: Any,
+    source: Any,
+    verify: _Verify,
     restrict: "set[int] | None",
     first_only: bool,
     workers: "int | None",
-) -> "list[Any] | None":
-    """Route to the sharded executor when eligible; ``None`` = serial.
+) -> list[Any]:
+    """Run a pair plan: sharded across forked workers when eligible,
+    else (and whenever the fan-out declines) serially.
 
     ``first_only`` stays serial: its contract is "the first verified
     hit in candidate order", which a fan-out would have to run to
     completion to reproduce — the serial short-circuit is the faster
     engine by construction.
     """
-    if first_only or plan.arity != 2 or plan.never:
-        return None
-    from .parallel import execute_parallel, resolve_workers
+    if not first_only and plan.arity == 2 and not plan.never:
+        from .parallel import execute_parallel, resolve_workers
 
-    w = resolve_workers(workers, len(source))
-    if w <= 1:
-        return None
-    return execute_parallel(
-        dep, source, mode=mode, extra=extra, restrict=restrict, workers=w
+        w = resolve_workers(workers, len(source))
+        if w > 1:
+            out = execute_parallel(
+                plan, source, verify, restrict=restrict, workers=w
+            )
+            if out is not None:
+                return out
+    return execute_pairs(
+        plan, context_for(source), verify, restrict=restrict,
+        first_only=first_only,
     )
 
 
@@ -166,16 +168,9 @@ def pairwise_violations(
     violation *is* (and its reason text); the plan only decides which
     pairs are worth asking about.
     """
-    plan = plan_for(dep)
-    out = _try_parallel(
-        dep, source, plan, "pair", None, restrict, first_only, workers
-    )
-    if out is not None:
-        return out
-    verify = build_verify("pair", dep, source)
-    return execute_pairs(
-        plan, context_for(source), verify, restrict=restrict,
-        first_only=first_only,
+    return _execute(
+        plan_for(dep), source, build_verify("pair", dep, source),
+        restrict, first_only, workers,
     )
 
 
@@ -196,8 +191,8 @@ def denial_violations(
     from ..core.violation import Violation
 
     plan = plan_for(dep)
-    label = dep.label()
     if plan.arity == 1:
+        label = dep.label()
         var = dep._variables[0]
 
         def verify_row(r: int) -> "tuple[Any, Any] | None":
@@ -209,15 +204,9 @@ def denial_violations(
             plan, context_for(source), verify_row, restrict=restrict,
             first_only=first_only,
         )
-    out = _try_parallel(
-        dep, source, plan, "denial", None, restrict, first_only, workers
-    )
-    if out is not None:
-        return out
-    verify = build_verify("denial", dep, source)
-    return execute_pairs(
-        plan, context_for(source), verify, restrict=restrict,
-        first_only=first_only,
+    return _execute(
+        plan, source, build_verify("denial", dep, source),
+        restrict, first_only, workers,
     )
 
 
@@ -234,11 +223,8 @@ def guard_pairs(
     support, CD confidence, PAC pair counts): the guard plan prunes,
     ``verify_pair`` is the definitional LHS test.
     """
-    plan = guard_plan_for(dep)
-    out = _try_parallel(
-        dep, source, plan, "guard", verify_pair, None, False, workers
+    return _execute(
+        guard_plan_for(dep), source,
+        build_verify("guard", dep, source, verify_pair),
+        None, False, workers,
     )
-    if out is not None:
-        return out
-    verify = build_verify("guard", dep, source, verify_pair)
-    return execute_pairs(plan, context_for(source), verify)

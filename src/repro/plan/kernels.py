@@ -95,11 +95,11 @@ class KernelCounters:
     streamed index chunks, while scalar executions keep the bare
     strategy names — :meth:`backends` aggregates either way.
 
-    Process-composable: counters survive process boundaries via
-    :meth:`snapshot` deltas (:meth:`diff`) folded back with
-    :meth:`merge` — the parallel executor snapshots per worker, ships
-    the delta home, and merges it into the parent's counters, so
-    parent totals always equal the sum of worker totals (pinned by
+    Process-composable: counter deltas (:meth:`diff`) fold back with
+    :meth:`merge`.  Each forked shard of the parallel executor starts
+    from zeroed counters with a fresh lock, ships its :meth:`snapshot`
+    home with its hits, and the parent merges it, so parent totals
+    always equal the sum of shard totals (pinned by
     ``tests/test_parallel.py``).  Pickling drops the lock and restores
     a fresh one on load.
 

@@ -1,4 +1,4 @@
-"""Sharded parallel execution of pair plans across worker processes.
+"""Sharded parallel execution of pair plans across forked processes.
 
 The engine-neutral refactor (kernels consume an immutable
 :class:`~repro.plan.slabs.ExecutionContext`, never a live substrate
@@ -15,51 +15,51 @@ This module owns the fan-out:
   the ambient count (:func:`set_workers` / :func:`workers`, set by the
   CLI's ``--workers``) applies only to snapshots of at least
   :data:`MIN_ROWS` rows, so small checks stay serial;
-* **transport** — column slabs ship once per snapshot through
-  ``multiprocessing.shared_memory`` (:meth:`ExecutionContext.share`)
-  and are cached per token in each worker; unshareable snapshots fall
-  back to inline pickling, unpicklable ones to serial execution;
+* **transport** — none.  Each fan-out binds its job (plan, execution
+  context, verify closure, shard token) in the parent and only then
+  forks a fresh worker set, so the children read the parent's
+  snapshot, caches and closures directly; nothing about the
+  dependency or the snapshot is pickled.  Only keyed hits and counter
+  deltas travel back;
 * **determinism** — every shard returns *keyed* hits; the parent
   concatenates and sorts once, which is byte-identical to the serial
   executor's sort because shard keys are disjoint;
-* **governance** — the parent's ambient :class:`Budget` is projected
-  into each worker (remaining deadline, memory cap) and stitched back
-  through a :class:`~repro.runtime.budget.ShardToken`: workers publish
+* **governance** — every fan-out creates a
+  :class:`~repro.runtime.budget.ShardToken`, and each shard runs under
+  a fresh :class:`Budget` bound to its token slot, carrying the
+  parent's remaining deadline and memory cap (or no caps) — never the
+  ambient budget the child inherited at the fork.  Shards publish
   their work into per-slot accounting (so *global* pair/candidate caps
-  bite), and cancellation — from the parent's poll loop or any
-  exhausted sibling — is observed at the next cooperative checkpoint;
-* **accounting** — per-worker :class:`KernelCounters` snapshot deltas
-  come home with the results and merge into the parent's counters, so
-  parent totals equal the sum of worker totals.
+  bite), and cancellation — from the parent's poll loop, any exhausted
+  sibling, or an exception in the parent — is observed at the next
+  cooperative checkpoint;
+* **accounting** — each shard starts from zeroed
+  :class:`KernelCounters`; its counters come home with its hits and
+  merge into the parent's, so parent totals equal the sum of shard
+  totals.
 
-Pools are forked, and used, only from the main thread: a call from any
-other thread (a server's engine and job threads included) runs
-serially.  Any infrastructure failure (broken pool, unpicklable
-payloads) likewise degrades to ``None`` and the entry layer runs the
-identical serial path.
+Fan-outs fork only from the main thread: a call from any other thread
+(a server's engine and job threads included) runs serially, and so
+does a nested call inside a child.  A crashed child, or an error
+raised inside a shard, degrades to ``None`` and the entry layer runs
+the identical serial path.
 """
 
 from __future__ import annotations
 
-import atexit
-import pickle
+import multiprocessing
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from typing import Any
 
-if TYPE_CHECKING:
-    from ..runtime.budget import ShardToken
-
-from .ir import kernel_backend_mode
-from .slabs import (
-    ColumnSlabs,
-    ExecutionContext,
-    context_for,
-    load_shared,
-    release_shared,
-)
+from ..runtime import Budget, BudgetExhausted, current_budget, governed
+from ..runtime.budget import ShardToken
+from .ir import Plan
+from .kernels import COUNTERS, execute_pairs_keyed
+from .slabs import ExecutionContext, context_for
 
 #: Ambient fan-out floor: smaller snapshots check serially.
 MIN_ROWS = 2048
@@ -67,7 +67,7 @@ _POLL_S = 0.05
 
 #: Ambient worker count (``None``: serial unless a call asks).
 _workers_override: int | None = None
-#: Set in worker processes: nested entry points stay serial.
+#: Set in forked children: nested entry points stay serial.
 _in_worker = False
 
 
@@ -114,137 +114,63 @@ def resolve_workers(explicit: int | None, n_rows: int) -> int:
     return mode
 
 
-# -- worker pool -------------------------------------------------------------
-
-_pool: ProcessPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+# -- child side --------------------------------------------------------------
 
 
-def _get_pool(n: int) -> ProcessPoolExecutor | None:
-    """A fork-context pool with at least ``n`` slots, or ``None``.
+@dataclass(frozen=True)
+class _Job:
+    """One fan-out, bound in the parent before its children fork."""
 
-    Only the main thread gets a pool.  A fork-context executor forks
-    its workers lazily, at the first ``submit``, from whichever thread
-    submits: handing an existing pool to a helper thread would fork a
-    multi-threaded parent from that thread, which is how deadlocks are
-    made.  Off-main-thread callers therefore always get ``None`` and
-    run serially.
-    """
-    global _pool, _pool_size
-    if threading.current_thread() is not threading.main_thread():
-        return None
-    with _pool_lock:
-        if _pool is not None and _pool_size >= n:
-            return _pool
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-        import multiprocessing
-
-        mp = multiprocessing.get_context("fork")
-        _pool = ProcessPoolExecutor(max_workers=n, mp_context=mp)
-        _pool_size = n
-        return _pool
+    plan: Plan
+    ctx: ExecutionContext
+    verify: Callable[[int, int], Any]
+    restrict: set[int] | None
+    workers: int
+    token: ShardToken
+    deadline_s: float | None
+    max_memory_bytes: int | None
 
 
-def shutdown() -> None:
-    """Tear down the pool and release owned shared-memory slabs."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-            _pool = None
-            _pool_size = 0
-    release_shared()
+#: The fan-out in flight; forked children inherit it.
+_job: _Job | None = None
 
 
-atexit.register(shutdown)
-
-
-# -- worker side -------------------------------------------------------------
-
-#: Per-worker context cache, keyed by slab token: one snapshot is
-#: attached/decoded once per worker, not once per shard task.
-_CTX_CACHE: dict[str, ExecutionContext] = {}
-_CTX_CACHE_CAP = 4
-
-
-def _worker_context(payload: dict[str, Any]) -> ExecutionContext:
-    handle = payload.get("handle")
-    slabs = payload.get("slabs")
-    token = handle.token if handle is not None else slabs.token
-    ctx = _CTX_CACHE.get(token)
-    if ctx is None:
-        if handle is not None:
-            slabs = load_shared(handle)
-        ctx = slabs.to_context()
-        _CTX_CACHE[token] = ctx
-        while len(_CTX_CACHE) > _CTX_CACHE_CAP:
-            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
-    return ctx
-
-
-def _run_shard(blob: bytes) -> bytes:
-    """Run one shard in a worker process; returns a pickled result dict."""
+def _init_child() -> None:
+    """Runs once in each forked child, before its first shard."""
     global _in_worker
     _in_worker = True
-    payload: dict[str, Any] = pickle.loads(blob)
-    from ..runtime import Budget, governed
-    from ..runtime.budget import ShardToken
-    from ..runtime.errors import BudgetExhausted
-    from . import entry
-    from .ir import kernel_backend
-    from .kernels import COUNTERS, execute_pairs_keyed
+    # Another parent thread may have held the counters' lock at the
+    # fork; that thread does not exist here to release it.
+    COUNTERS._lock = threading.Lock()
 
-    ctx = _worker_context(payload)
-    dep = payload["dep"]
-    mode = payload["mode"]
-    if mode == "guard":
-        plan = entry.guard_plan_for(dep)
-    else:
-        plan = entry.plan_for(dep)
-    verify = entry.build_verify(mode, dep, ctx.source(), payload.get("extra"))
-    restrict = payload["restrict"]
-    rset: set[int] | None = None if restrict is None else set(restrict)
-    shard: tuple[int, int] = tuple(payload["shard"])  # type: ignore[assignment]
 
-    token: ShardToken | None = None
-    budget: Budget | None = None
-    spec = payload.get("budget")
-    if spec is not None:
-        token = ShardToken.attach(spec["token"])
-        budget = Budget(
-            deadline_s=spec["deadline_s"],
-            max_memory_bytes=spec["max_memory_bytes"],
-        )
-        budget.bind_token(token, shard[0])
-    exhausted = ""
-    strategy = ""
+def _run_shard(k: int) -> dict[str, Any]:
+    """Run shard ``k`` of the inherited job in a forked child."""
+    job = _job
+    assert job is not None, "shards run only in children of a fan-out"
+    budget = Budget(
+        deadline_s=job.deadline_s, max_memory_bytes=job.max_memory_bytes
+    ).bind_token(job.token, k)
+    COUNTERS.reset()
+    exhausted = strategy = ""
     hits: list[tuple[Any, Any]] = []
-    before = COUNTERS.snapshot()
     try:
-        with kernel_backend(payload["backend"]), governed(budget):
+        with governed(budget):
             strategy, hits = execute_pairs_keyed(
-                plan, ctx, verify, restrict=rset, shard=shard
+                job.plan, job.ctx, job.verify,
+                restrict=job.restrict, shard=(k, job.workers),
             )
     except BudgetExhausted as exc:
         exhausted = exc.reason
-    finally:
-        if token is not None:
-            if budget is not None:
-                token.publish(shard[0], budget.candidates, budget.pairs)
-            token.close()
-    delta = COUNTERS.snapshot().diff(before)
-    return pickle.dumps(
-        {
-            "hits": hits,
-            "strategy": strategy,
-            "counters": delta,
-            "candidates": budget.candidates if budget is not None else 0,
-            "pairs": budget.pairs if budget is not None else 0,
-            "exhausted": exhausted,
-        }
-    )
+    job.token.publish(k, budget.candidates, budget.pairs)
+    return {
+        "hits": hits,
+        "strategy": strategy,
+        "counters": COUNTERS.snapshot(),
+        "candidates": budget.candidates,
+        "pairs": budget.pairs,
+        "exhausted": exhausted,
+    }
 
 
 # -- parent side -------------------------------------------------------------
@@ -273,163 +199,122 @@ def _expired_reason(budget: Any) -> str:
 
 
 def execute_parallel(
-    dep: Any,
+    plan: Plan,
     source: Any,
+    verify: Callable[[int, int], Any],
     *,
-    mode: str,
-    extra: Any = None,
     restrict: "set[int] | None" = None,
     workers: int,
 ) -> "list[Any] | None":
-    """Fan one pair-plan execution across ``workers`` shard processes.
+    """Fan one pair-plan execution across ``workers`` forked shards.
 
     Returns the merged, sorted payload list — byte-identical to the
     serial executor — or ``None`` when the fan-out cannot run here
-    (no pool obtainable, unpicklable dependency/snapshot, broken
-    pool), in which case the caller runs the serial path.  Raises
+    (off the main thread, a crashed child, an error inside a shard),
+    in which case the caller runs the serial path.  Raises
     :class:`BudgetExhausted` exactly like the serial path when the
     governing budget runs out, after absorbing the work the shards
     already performed.
     """
-    global _last_run
-    from ..runtime import current_budget
-    from ..runtime.budget import ShardToken
-    from .kernels import COUNTERS
-
-    pool = _get_pool(workers)
-    if pool is None:
+    global _job
+    if threading.current_thread() is not threading.main_thread():
         return None
-    ctx = context_for(source)
-    handle = None
-    slabs = None
-    try:
-        handle = ctx.share()
-    # staticcheck: disable=SC008 — shm sharing is an optimization; any
-    # failure falls back to pickled slabs, then to the serial path.
-    except Exception:
-        try:
-            slabs = ColumnSlabs.from_context(ctx)
-        # staticcheck: disable=SC008 — unpicklable snapshot state: the
-        # serial executor handles this dependency with zero loss.
-        except Exception:
-            return None
-    base: dict[str, Any] = {
-        "mode": mode,
-        "dep": dep,
-        "extra": extra,
-        "restrict": None if restrict is None else sorted(restrict),
-        "backend": kernel_backend_mode(),
-        "handle": handle,
-        "slabs": slabs,
-    }
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_child,
+    )
     budget = current_budget()
-    token: ShardToken | None = None
-    if budget is not None:
+    if budget is None:
+        token = ShardToken.create(workers)
+        limits: "tuple[float | None, int | None]" = (None, None)
+    else:
         budget.start()
-
-        def headroom(cap: "int | None", spent: int) -> "int | None":
-            return None if cap is None else max(0, cap - spent)
-
         token = ShardToken.create(
             workers,
-            max_candidates=headroom(budget.max_candidates, budget.candidates),
-            max_pairs=headroom(budget.max_pairs, budget.pairs),
+            max_candidates=_headroom(budget.max_candidates, budget.candidates),
+            max_pairs=_headroom(budget.max_pairs, budget.pairs),
         )
-        budget.attach_token(token)
-        base["budget"] = {
-            "token": token.name,
-            "deadline_s": budget.remaining_s(),
-            "max_memory_bytes": budget.max_memory_bytes,
-        }
-
-    def release_token() -> None:
-        # Idempotent: the finally below runs on *every* exit path
-        # (including KeyboardInterrupt mid-merge), and the earlier
-        # explicit callers must not double-close the segment.
-        nonlocal token
-        if token is not None:
-            released, token = token, None
-            if budget is not None:
-                budget.detach_token(released)
-            released.close()
-            released.unlink()
-
+        limits = (budget.remaining_s(), budget.max_memory_bytes)
     try:
-        return _run_sharded(
-            pool, base, workers, budget, token, ctx, handle, mode
+        if budget is not None:
+            budget.attach_token(token)
+        _job = _Job(
+            plan, context_for(source), verify, restrict, workers, token,
+            *limits,
         )
+        results = _collect(pool, workers, budget, token)
+        exhausted = token.cancelled()
+    except BaseException:
+        # Stop the running shards; the finally then joins them.
+        token.cancel()
+        raise
     finally:
-        release_token()
-
-
-def _run_sharded(
-    pool: Any,
-    base: "dict[str, Any]",
-    workers: int,
-    budget: Any,
-    token: "ShardToken | None",
-    ctx: Any,
-    handle: Any,
-    mode: str,
-) -> "list[Any] | None":
-    """Body of :func:`execute_parallel` once the shard token exists.
-
-    The caller owns the token and releases it in a ``finally``; this
-    helper may use it but never closes it.
-    """
-    global _last_run
-    from .kernels import COUNTERS
-
-    try:
-        blobs = [
-            pickle.dumps({**base, "shard": (k, workers)})
-            for k in range(workers)
-        ]
-    # staticcheck: disable=SC008 — pickling runs no budget-governed
-    # code; any failure degrades to the lossless serial path.
-    except Exception:
-        # Opaque predicates / custom metrics close over unpicklable
-        # state; the serial path handles them with zero loss.
+        pool.shutdown(wait=True, cancel_futures=True)
+        _job = None
+        if budget is not None:
+            budget.detach_token(token)
+        token.close()
+    if results is None:
         return None
+    return _merge(results, len(source), workers, budget, exhausted)
+
+
+def _headroom(cap: "int | None", spent: int) -> "int | None":
+    return None if cap is None else max(0, cap - spent)
+
+
+def _collect(
+    pool: ProcessPoolExecutor,
+    workers: int,
+    budget: "Budget | None",
+    token: ShardToken,
+) -> "list[dict[str, Any]] | None":
+    """Submit every shard, poll the parent budget, gather the results.
+
+    Forks the children at the first ``submit``.  Returns ``None`` when
+    a child crashed or a shard raised.
+    """
+    futures = [pool.submit(_run_shard, k) for k in range(workers)]
+    pending = set(futures)
+    while pending:
+        _, pending = wait(
+            pending, timeout=_POLL_S, return_when=FIRST_COMPLETED
+        )
+        if (
+            budget is not None
+            and not token.cancelled()
+            and budget.expired()
+        ):
+            # An exhausted parent propagates *into* running shards;
+            # each child observes the cancelled token at its next
+            # checkpoint.
+            token.cancel(_expired_reason(budget))
     try:
-        futures = [pool.submit(_run_shard, blob) for blob in blobs]
-        pending = set(futures)
-        while pending:
-            _, pending = wait(
-                pending, timeout=_POLL_S, return_when=FIRST_COMPLETED
-            )
-            if (
-                token is not None
-                and budget is not None
-                and not token.cancelled()
-                and budget.expired()
-            ):
-                # Satellite contract: an exhausted parent propagates
-                # *into* running shards; each worker observes the
-                # cancelled token at its next checkpoint.
-                token.cancel(_expired_reason(budget))
-        results: list[dict[str, Any]] = [
-            pickle.loads(f.result()) for f in futures
-        ]
+        return [f.result() for f in futures]
     # staticcheck: disable=SC008 — shard exhaustion travels in-band
     # (the results' 'exhausted' field), never as an exception; what
-    # lands here is a crashed/killed worker, and the serial rerun
-    # re-applies the budget from scratch.
+    # lands here is a crashed child or an error raised inside a shard,
+    # and the serial rerun reproduces either exactly.
     except Exception:
-        # A crashed worker poisons the whole pool — rebuild lazily and
-        # degrade this execution to serial (no partial merge: counters
-        # from a half-collected fleet would double-count after the
-        # serial rerun).
-        shutdown()
         return None
-    n = ctx.n
+
+
+def _merge(
+    results: "list[dict[str, Any]]",
+    n: int,
+    workers: int,
+    budget: "Budget | None",
+    exhausted: str,
+) -> "list[Any]":
+    """Fold shard results into one serial-identical payload list."""
+    global _last_run
     strategy = next((r["strategy"] for r in results if r["strategy"]), "never")
     COUNTERS.executions += 1
     COUNTERS.pairs_total += n * (n - 1) // 2
     COUNTERS.note(strategy)
     for r in results:
         COUNTERS.merge(r["counters"])
-    exhausted = token.cancelled() if token is not None else ""
     for r in results:
         exhausted = exhausted or r["exhausted"]
     keyed: list[tuple[Any, Any]] = []
@@ -438,7 +323,6 @@ def _run_sharded(
     keyed.sort(key=lambda item: item[0])
     _last_run = {
         "workers": workers,
-        "mode": mode,
         "strategy": strategy,
         "shards": [
             {
@@ -452,7 +336,6 @@ def _run_sharded(
             for r in results
         ],
         "exhausted": exhausted,
-        "shared": handle is not None,
     }
     if budget is not None:
         budget.absorb(
@@ -460,7 +343,5 @@ def _run_sharded(
             sum(r["pairs"] for r in results),
         )
         if exhausted:
-            # The caller's finally releases the token before this
-            # BudgetExhausted reaches anyone who could observe it.
             budget._exhaust(exhausted)
     return [payload for _, payload in keyed]

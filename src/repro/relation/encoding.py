@@ -36,7 +36,6 @@ cannot corrupt results.
 
 from __future__ import annotations
 
-import uuid
 from collections.abc import Collection, Iterable, Sequence
 from typing import Any
 
@@ -202,9 +201,6 @@ class ColumnCodes:
         #: encoding in place instead of rebuilding it.
         self.codebook = codebook
         self.values: list[Value] = list(codebook)
-        self._start(self.values)
-
-    def _start(self, values: list[Value]) -> None:
         self.n_distinct = 0
         self.none_code = -1
         self.self_unequal = False
@@ -214,7 +210,7 @@ class ColumnCodes:
         self._valid = None
         self._sorted = None
         self._kind: str | None = None
-        self._fold(values, ())
+        self._fold(self.values, ())
 
     def _fold(self, new_values: Sequence[Value], cells: Sequence[Value]) -> None:
         """Fold values appended to the codebook into the per-value facts,
@@ -238,48 +234,6 @@ class ColumnCodes:
         self.n_distinct += len(new_values)
         if self._kind is not None:
             self._kind = _sort_kind(self._kind, cells)
-
-    @classmethod
-    def from_parts(
-        cls,
-        column: Sequence[Value],
-        values: Sequence[Value],
-        codes: Sequence[int],
-        *,
-        floats: Any = None,
-        valid: Any = None,
-        sorted_projection: Any = None,
-    ) -> "ColumnCodes":
-        """Rebuild a codebook from an exported ``(values, codes)`` pair.
-
-        The deserialization path of the column-slab transport (see
-        :mod:`repro.plan.slabs`): a worker process receives the distinct
-        values (first-occurrence order) plus each row's code and
-        reconstitutes the full codebook *without re-hashing the column*
-        — one O(n) integer pass instead of the O(n) value-hashing pass
-        of ``__init__``.  Optional pre-built kernel caches (float
-        projection, validity mask, sorted projection) are adopted as-is
-        so the worker starts warm.
-        """
-        out = cls.__new__(cls)
-        values = list(values)
-        is_array = HAS_NUMPY and isinstance(codes, _np.ndarray)
-        codes_list: list[int] = (
-            codes.tolist() if is_array else [int(c) for c in codes]
-        )
-        groups: list[list[int]] = [[] for _ in values]
-        for i, c in enumerate(codes_list):
-            groups[c].append(i)
-        out.codes = codes_list
-        out.groups = groups
-        out.codebook = {v: c for c, v in enumerate(values)}
-        out.values = values
-        out._start(values)
-        out._array = codes if is_array else None
-        out._floats = floats
-        out._valid = valid
-        out._sorted = sorted_projection
-        return out
 
     def extended(self, column: Sequence[Value], start: int) -> "ColumnCodes":
         """A codebook for ``column`` reusing this one for rows < ``start``.
@@ -432,14 +386,13 @@ class RelationEncoding:
 
     Owned by a :class:`~repro.relation.relation.Relation` (which is
     immutable, so no invalidation is ever needed — derived relations
-    start with a fresh or :meth:`extended` encoding).  ``token`` names
-    the snapshot across processes; nothing here refers back to the
-    relation, so both die by reference count.
+    start with a fresh or :meth:`extended` encoding).  Nothing here
+    refers back to the relation, so both die by reference count.
     """
 
     __slots__ = (
         "_columns", "_n", "_per_column", "_combined", "_distinct",
-        "_groups", "_keyed", "_stripped", "token", "__weakref__",
+        "_groups", "_keyed", "_stripped",
     )
 
     def __init__(self, columns: Sequence[Sequence[Value]], n: int) -> None:
@@ -454,7 +407,6 @@ class RelationEncoding:
         self._groups: dict[tuple[int, ...], list] = {}
         self._keyed: dict[tuple[int, ...], list] = {}
         self._stripped: dict[tuple, tuple] = {}
-        self.token = uuid.uuid4().hex
 
     def extended(
         self, columns: Sequence[Sequence[Value]], n: int,

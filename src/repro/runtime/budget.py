@@ -25,6 +25,7 @@ ambient one.
 
 from __future__ import annotations
 
+import mmap
 import struct
 import time
 from contextlib import contextmanager
@@ -36,8 +37,6 @@ from typing import TYPE_CHECKING
 from .errors import BudgetExhausted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
-    from multiprocessing.shared_memory import SharedMemory
-
     from ..core.base import Dependency
     from ..relation.relation import Relation
 
@@ -50,8 +49,8 @@ TOKEN_REASONS = ("", "deadline", "candidates", "pairs", "memory", "cancelled")
 class ShardToken:
     """Shared cancellation + work accounting for a sharded execution.
 
-    One small ``multiprocessing.shared_memory`` block shared by a parent
-    budget and its worker shards:
+    One small anonymous shared mapping, created by the parent before it
+    forks the shard processes, which inherit it:
 
     * a **cancel flag** plus reason code — set once by whoever exhausts
       first (the parent's poll loop or any worker), observed by every
@@ -73,12 +72,9 @@ class ShardToken:
     _HEADER = struct.Struct("<BBHqq")
     _SLOT = struct.Struct("<qq")
 
-    def __init__(self, shm: SharedMemory, workers: int, *, owner: bool) -> None:
-        self._shm = shm
+    def __init__(self, buf: mmap.mmap, workers: int) -> None:
+        self._buf = buf
         self.workers = workers
-        self._owner = owner
-
-    # -- lifecycle -----------------------------------------------------
 
     @classmethod
     def create(
@@ -88,79 +84,44 @@ class ShardToken:
         max_candidates: int | None = None,
         max_pairs: int | None = None,
     ) -> "ShardToken":
-        from multiprocessing import shared_memory
-
-        size = cls._HEADER.size + workers * cls._SLOT.size
-        shm = shared_memory.SharedMemory(create=True, size=size)
+        # An anonymous mapping is zero-filled (no cancel, empty slots)
+        # and shared with every process forked after this call.
+        buf = mmap.mmap(-1, cls._HEADER.size + workers * cls._SLOT.size)
         cls._HEADER.pack_into(
-            shm.buf, 0, 0, 0, workers,
+            buf, 0, 0, 0, workers,
             -1 if max_candidates is None else int(max_candidates),
             -1 if max_pairs is None else int(max_pairs),
         )
-        for slot in range(workers):
-            cls._SLOT.pack_into(
-                shm.buf, cls._HEADER.size + slot * cls._SLOT.size, 0, 0
-            )
-        return cls(shm, workers, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShardToken":
-        from multiprocessing import shared_memory
-
-        # Workers are forked and share the parent's resource-tracker
-        # process, whose registry deduplicates: re-registering on attach
-        # is a no-op and the owner's ``unlink`` consumes the single
-        # registration, so no unregister workaround is needed here.
-        shm = shared_memory.SharedMemory(name=name)
-        _, _, workers, _, _ = cls._HEADER.unpack_from(shm.buf, 0)
-        return cls(shm, workers, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        return cls(buf, workers)
 
     def close(self) -> None:
-        try:
-            self._shm.close()
-        # staticcheck: disable=SC008 — idempotent cleanup of an shm
-        # mapping; nothing budget-governed runs inside the try.
-        except Exception:  # pragma: no cover - double close
-            pass
-
-    def unlink(self) -> None:
-        if self._owner:
-            try:
-                self._shm.unlink()
-            # staticcheck: disable=SC008 — idempotent cleanup of an shm
-            # segment; nothing budget-governed runs inside the try.
-            except Exception:  # pragma: no cover - already unlinked
-                pass
+        self._buf.close()
 
     # -- cancellation --------------------------------------------------
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Raise the cancel flag (first reason wins; idempotent)."""
-        if self._shm.buf[0]:
+        if self._buf[0]:
             return
         try:
             code = TOKEN_REASONS.index(reason)
         except ValueError:
             code = TOKEN_REASONS.index("cancelled")
-        self._shm.buf[1] = code
-        self._shm.buf[0] = 1
+        self._buf[1] = code
+        self._buf[0] = 1
 
     def cancelled(self) -> str:
         """The cancellation reason, or ``""`` while still running."""
-        if not self._shm.buf[0]:
+        if not self._buf[0]:
             return ""
-        return TOKEN_REASONS[self._shm.buf[1]]
+        return TOKEN_REASONS[self._buf[1]]
 
     # -- accounting ----------------------------------------------------
 
     def publish(self, slot: int, candidates: int, pairs: int) -> None:
         """Publish one worker's running totals (owner-exclusive write)."""
         self._SLOT.pack_into(
-            self._shm.buf,
+            self._buf,
             self._HEADER.size + slot * self._SLOT.size,
             candidates,
             pairs,
@@ -171,7 +132,7 @@ class ShardToken:
         candidates = pairs = 0
         for slot in range(self.workers):
             c, p = self._SLOT.unpack_from(
-                self._shm.buf, self._HEADER.size + slot * self._SLOT.size
+                self._buf, self._HEADER.size + slot * self._SLOT.size
             )
             candidates += c
             pairs += p
@@ -180,7 +141,7 @@ class ShardToken:
     def over_cap(self) -> str:
         """Which global cap the summed totals exceed, or ``""``."""
         _, _, _, max_candidates, max_pairs = self._HEADER.unpack_from(
-            self._shm.buf, 0
+            self._buf, 0
         )
         if max_candidates < 0 and max_pairs < 0:
             return ""

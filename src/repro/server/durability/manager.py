@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ...analysis import lint_entries
-from ...incremental import IncrementalDetector
 from ...incremental.delta import Delta
 from ...relation import Relation, Schema
 from ...relation.encoding import iter_relation_state
@@ -475,24 +474,7 @@ def _apply_rules_record(tenant: Tenant, record: dict[str, Any]) -> str:
             raise ValueError(
                 "rule set no longer passes the lint screen"
             )
-        skipped = {
-            entries[i].name: why for i, why in report.skippable.items()
-        }
-        active = [
-            e.dependency
-            for i, e in enumerate(entries)
-            if i not in report.skippable
-        ]
-        current = (
-            tenant.detector.relation
-            if tenant.detector is not None
-            else tenant.relation
-        )
-        tenant.rule_entries = list(entries)
-        tenant.skipped_rules = skipped
-        tenant.rules_payload = payload
-        tenant.relation = current
-        tenant.detector = IncrementalDetector(active, current)
+        tenant.install_rules(entries, report.skippable, payload)
         return ""
     # staticcheck: disable=SC008 — recovery boundary: one bad WAL
     # record becomes a warning so the remaining records still replay;

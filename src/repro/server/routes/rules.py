@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ...analysis import Severity, lint_entries
-from ...incremental import IncrementalDetector
 from ...rules_io import RuleFileError, parse_rules_with_meta
 from ..http import HttpError, Request, Response, json_response
 
@@ -76,39 +75,22 @@ async def upload(app: "ReproApp", request: Request) -> Response:
                 diagnostics=diagnostics,
                 rejected=[d["rule"] for d in errors],
             )
-        skipped = {
-            entries[i].name: why for i, why in report.skippable.items()
-        }
-        active = [
-            e.dependency
-            for i, e in enumerate(entries)
-            if i not in report.skippable
-        ]
         with tenant.lock:
             # Pre-ack append: the accepted document hits the WAL before
             # the in-memory rule set advances, so recovery replays
             # exactly the uploads that were acknowledged.
             if app.durability is not None:
                 app.durability.log_rules(tenant, payload)
-            tenant.rule_entries = list(entries)
-            tenant.skipped_rules = skipped
-            tenant.rules_payload = payload
-            # Rebuild over the current relation (rule hot-swap): the
-            # screen above already dropped skippable rules, so the
-            # detector takes the active set as-is.
-            current = (
-                tenant.detector.relation
-                if tenant.detector is not None
-                else tenant.relation
+            accepted = tenant.install_rules(
+                entries, report.skippable, payload
             )
-            tenant.relation = current
-            tenant.detector = IncrementalDetector(active, current)
+            skipped = tenant.skipped_rules
         app.guards.breaker.drop_tenant(tenant.tenant_id)
         app.note_rule_gauges(tenant)
         return json_response(
             {
                 "tenant": tenant.tenant_id,
-                "accepted": len(active),
+                "accepted": accepted,
                 "skipped": skipped,
                 "diagnostics": diagnostics,
                 "initial_violations": len(tenant.detector.violations()),

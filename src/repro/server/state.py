@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -90,6 +91,35 @@ class Tenant:
     lock: threading.Lock = field(default_factory=threading.Lock)
     batches_ingested: int = 0
     rows_ingested: int = 0
+
+    def install_rules(
+        self,
+        entries: list[RuleEntry],
+        skippable: Mapping[int, str],
+        payload: Any,
+    ) -> int:
+        """Install a lint-screened rule set; returns the active count.
+
+        Rules the screen found skippable (trivial, duplicate, implied)
+        get no checker.  The new detector runs over the tenant's
+        current relation, so rules hot-swap mid-stream.  Live uploads
+        and WAL replay both install through here, so recovery rebuilds
+        exactly what the upload built.
+        """
+        self.skipped_rules = {
+            entries[i].name: why for i, why in skippable.items()
+        }
+        active = [
+            e.dependency
+            for i, e in enumerate(entries)
+            if i not in skippable
+        ]
+        if self.detector is not None:
+            self.relation = self.detector.relation
+        self.rule_entries = list(entries)
+        self.rules_payload = payload
+        self.detector = IncrementalDetector(active, self.relation)
+        return len(active)
 
     def require_detector(self) -> IncrementalDetector:
         if self.detector is None:

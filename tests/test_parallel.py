@@ -5,19 +5,21 @@ option combination, ``workers=N`` produces violation lists (and
 :class:`DetectionReport` orderings) byte-identical to the serial
 executor, with parent counters equal to the sum of the per-shard
 deltas, and with budget exhaustion propagating *into* running shards
-through the shared :class:`ShardToken`.  When the fan-out cannot run
-(unpicklable closures, tiny inputs below the ambient row floor), the
-serial fallback is silent and lossless.
+through the shared :class:`ShardToken`.  Shards are forked after the
+job is bound, so dependencies that cannot be pickled fan out too, and
+a shard never runs under an ambient budget it inherited.  When the
+fan-out does not run (tiny inputs below the ambient row floor, calls
+off the main thread), the serial fallback is silent and lossless.
 """
 
 from __future__ import annotations
 
-import gc
 import inspect
-import os
+import multiprocessing
 import pickle
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,9 +31,7 @@ from repro.core.numerical.od import OD
 from repro.metrics.base import Metric
 from repro.plan import (
     COUNTERS,
-    ColumnSlabs,
     KernelCounters,
-    context_for,
     denial_violations,
     guard_pairs,
     kernel_backend,
@@ -40,7 +40,6 @@ from repro.plan import (
     workers,
 )
 from repro.plan.parallel import MIN_ROWS, last_run
-from repro.plan.slabs import load_shared, release_shared
 from repro.quality.detection import Detector
 from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.runtime import Budget, BudgetExhausted, ShardToken, governed
@@ -84,37 +83,6 @@ def run_dep(dep, rel, **kw):
 
 
 class TestSlabs:
-    def test_context_round_trip(self):
-        rel = make_relation(80)
-        ctx = context_for(rel)
-        slabs = ColumnSlabs.from_context(ctx)
-        ctx2 = slabs.to_context()
-        assert ctx2.n == ctx.n
-        assert ctx2.schema.names() == ctx.schema.names()
-        for a in ctx.schema.names():
-            assert list(ctx2.column(a)) == list(ctx.column(a))
-        assert sorted(map(sorted, ctx2.group_rows(("C",)))) == sorted(
-            map(sorted, ctx.group_rows(("C",)))
-        )
-
-    def test_pickled_round_trip(self):
-        rel = make_relation(50)
-        slabs = ColumnSlabs.from_context(context_for(rel))
-        ctx2 = pickle.loads(pickle.dumps(slabs)).to_context()
-        for a in ("A", "B", "C", "name"):
-            assert list(ctx2.column(a)) == list(rel.column(a))
-
-    def test_shared_memory_round_trip(self):
-        rel = make_relation(50, seed=3)
-        ctx = context_for(rel)
-        handle = ctx.share()
-        try:
-            ctx2 = load_shared(pickle.loads(pickle.dumps(handle))).to_context()
-            for a in ("A", "B", "C", "name"):
-                assert list(ctx2.column(a)) == list(ctx.column(a))
-        finally:
-            release_shared()
-
     def test_kernels_are_engine_neutral(self):
         """Acceptance gate: kernels never touch a row-store handle.
 
@@ -155,40 +123,11 @@ class TestSlabs:
         assert all(f.code == "SC002" for f in findings)
 
 
-def _shm_blocks() -> set[str]:
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-
-class TestSharedBlockLifetime:
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
-    )
-    def test_dead_snapshots_free_their_blocks(self):
-        """Each fanned-out snapshot's block goes away with the snapshot,
-        not at process shutdown."""
-        from repro.incremental.delta import Delta, apply_delta
-
-        md = MD({"name": 0.5}, ["C"])
-        rel = make_relation(3000, seed=73)
-        gc.collect()
-        before = _shm_blocks()
-        with workers(4):
-            for i in range(10):
-                rel = apply_delta(
-                    rel, Delta(inserts=[(i, i, i % 40, f"n{i % 60:03d}")])
-                )
-                n = len(rel)
-                pairwise_violations(md, rel, restrict={n - 1})
-                run = last_run()
-                assert run is not None and run["shared"]
-        gc.collect()
-        assert len(_shm_blocks() - before) <= 1
-
-
 class TestTokenLifecycle:
     def test_token_released_when_wait_is_interrupted(self, monkeypatch):
-        """Regression (staticcheck SC003): a KeyboardInterrupt while
-        waiting on shards must not leak the /dev/shm shard token."""
+        """A KeyboardInterrupt while waiting on shards cancels the token
+        and joins every forked child before it propagates, and leaves
+        no token attached to the budget."""
         import repro.plan.parallel as par
 
         rel = make_relation(600, seed=59)
@@ -205,8 +144,12 @@ class TestTokenLifecycle:
         monkeypatch.setattr(
             ShardToken, "create", classmethod(recording_create)
         )
+        # Keep the mapping readable after the call, to see the flag.
+        monkeypatch.setattr(ShardToken, "close", lambda self: None)
+        children: list = []
 
         def interrupted_wait(*args, **kwargs):
+            children.extend(multiprocessing.active_children())
             raise KeyboardInterrupt
 
         monkeypatch.setattr(par, "wait", interrupted_wait)
@@ -214,13 +157,11 @@ class TestTokenLifecycle:
         with governed(budget):
             with pytest.raises(KeyboardInterrupt):
                 pairwise_violations(dep, rel, workers=2)
-        par.shutdown()  # the abandoned futures poisoned this pool
         assert len(created) == 1
-        name = created[0].name
-        with pytest.raises(FileNotFoundError):
-            ShardToken.attach(name)
-        # The budget no longer references the released token either.
-        assert created[0] not in budget._attached
+        assert created[0].cancelled() == "cancelled"
+        assert children, "the shards were forked before the wait"
+        assert not any(child.is_alive() for child in children)
+        assert budget._attached == []
 
 
 class TestCounterMerge:
@@ -314,15 +255,20 @@ class TestParity:
         parallel = guard_pairs(md, rel, md.similar_on_lhs, workers=4)
         assert parallel == serial
 
-    def test_unpicklable_dependency_falls_back_to_serial(self):
+    def test_unpicklable_dependency_fans_out(self):
+        """The shards inherit the dependency through the fork, so a
+        custom metric over a lambda fans out like any other."""
         rel = make_relation(400, seed=43)
         local = Metric("test-local", lambda a, b: abs(float(a) - float(b)))
         dep = MFD(["A"], ["B"], 1.0, metric=local)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(dep)
         import repro.plan.parallel as par
 
         par._last_run = None
         parallel = pairwise_violations(dep, rel, workers=4)
-        assert last_run() is None, "unpicklable metric must stay serial"
+        run = last_run()
+        assert run is not None and run["workers"] == 4
         assert violation_bytes(parallel) == violation_bytes(
             pairwise_violations(dep, rel)
         )
@@ -413,6 +359,25 @@ class TestPropertyParity:
                 assert violation_bytes(par) == violation_bytes(serial)
 
 
+def _report_cancellation(token: ShardToken) -> None:
+    """Forked-child side of the token test: wait for the parent's
+    cancel, publish into slot 1, exit 0 iff the first reason shows."""
+    deadline = time.monotonic() + 30
+    while not token.cancelled() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    token.publish(1, 5, 5)
+    raise SystemExit(0 if token.cancelled() == "deadline" else 1)
+
+
+def _join(child, timeout: float = 30.0) -> None:
+    """Join a forked child, killing it if it is still alive after
+    ``timeout`` (its exit code then reads as a failure)."""
+    child.join(timeout=timeout)
+    if child.is_alive():
+        child.kill()
+        child.join()
+
+
 class TestShardToken:
     def test_publish_totals_and_caps(self):
         token = ShardToken.create(4, max_candidates=100, max_pairs=50)
@@ -427,22 +392,21 @@ class TestShardToken:
             assert token.over_cap() == "candidates"
         finally:
             token.close()
-            token.unlink()
 
-    def test_attach_sees_cancellation_first_reason_wins(self):
+    def test_forked_child_sees_cancellation_first_reason_wins(self):
         token = ShardToken.create(2)
         try:
-            peer = ShardToken.attach(token.name)
-            assert peer.cancelled() == ""
+            child = multiprocessing.get_context("fork").Process(
+                target=_report_cancellation, args=(token,)
+            )
+            child.start()
             token.cancel("deadline")
             token.cancel("pairs")  # late reason must not overwrite
-            assert peer.cancelled() == "deadline"
-            peer.publish(1, 5, 5)
+            _join(child)
+            assert child.exitcode == 0
             assert token.totals() == (5, 5)
-            peer.close()
         finally:
             token.close()
-            token.unlink()
 
     def test_uncapped_token_never_over_cap(self):
         token = ShardToken.create(2)
@@ -451,7 +415,47 @@ class TestShardToken:
             assert token.over_cap() == ""
         finally:
             token.close()
-            token.unlink()
+
+
+def _note_after_child_init() -> None:
+    import repro.plan.parallel as par
+
+    par._init_child()
+    COUNTERS.note("child")
+
+
+class TestForkedChildren:
+    def test_expired_ambient_budget_does_not_drop_violations(self):
+        """Regression: shards forked while a budget was ambient must not
+        run under it.  An earlier fan-out forks under a short deadline;
+        once it has passed, an unbudgeted fan-out must still return
+        every violation (it used to return a silent partial list)."""
+        rel = make_relation(3000, seed=79)
+        dep = OD(["A"], ["B"])
+        with kernel_backend("scalar"):
+            serial = pairwise_violations(dep, rel)
+            assert serial
+            budget = Budget(deadline_s=1.0)
+            with governed(budget):
+                # 5 workers: more than any other fan-out in this suite,
+                # so this call forks its own worker set.
+                pairwise_violations(dep, make_relation(200), workers=5)
+            while not budget.expired():
+                time.sleep(0.05)
+            parallel = pairwise_violations(dep, rel, workers=2)
+        assert violation_bytes(parallel) == violation_bytes(serial)
+
+    def test_counter_lock_held_at_fork_does_not_block_a_child(self):
+        """A lock some parent thread holds at the fork stays held in the
+        child, where no thread will release it: children must start
+        from a fresh one."""
+        with COUNTERS._lock:
+            child = multiprocessing.get_context("fork").Process(
+                target=_note_after_child_init
+            )
+            child.start()
+        _join(child)
+        assert child.exitcode == 0
 
 
 class TestBudgetPropagation:

@@ -30,10 +30,8 @@ from repro.analysis.staticcheck.kernels_passes import (
     BudgetCheckpointPass,
     EngineNeutralityPass,
 )
-from repro.analysis.staticcheck.memory_passes import (
-    ForkSafetyPass,
-    SharedMemoryLifecyclePass,
-)
+from repro.analysis.staticcheck.findings import RETIRED_CODES
+from repro.analysis.staticcheck.memory_passes import ForkSafetyPass
 from repro.analysis.staticcheck.reliability_passes import (
     ExceptionDisciplinePass,
     WalBeforeAckPass,
@@ -168,83 +166,6 @@ class TestEngineNeutralityPass:
                 return ctx.column("a")
             """,
             self.PATH,
-        )
-        assert findings == []
-
-
-# -- SC003: shared-memory lifecycle ------------------------------------
-
-
-class TestSharedMemoryLifecyclePass:
-    def test_unreleased_handle_fires(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def leaky(n):
-                shm = SharedMemory(create=True, size=n)
-                shm.buf[0] = 1
-                return shm.name
-            """,
-        )
-        assert [f.code for f in findings] == ["SC003"]
-        assert "'shm'" in findings[0].message
-
-    def test_attribute_read_is_not_an_escape(self):
-        # Storing token.name (a str) hands off a derived value, not
-        # the resource — exactly the execute_parallel leak shape.
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def leaky(spec):
-                token = ShardToken.create(4)
-                spec["token"] = token.name
-                run(spec)
-            """,
-        )
-        assert [f.code for f in findings] == ["SC003"]
-
-    def test_finally_release_is_clean(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def careful(n):
-                shm = SharedMemory(create=True, size=n)
-                try:
-                    work(shm)
-                finally:
-                    shm.close()
-                    shm.unlink()
-            """,
-        )
-        assert findings == []
-
-    def test_release_helper_in_finally_is_clean(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def careful(n):
-                token = ShardToken.create(n)
-
-                def release_token():
-                    token.close()
-                    token.unlink()
-
-                try:
-                    work(token)
-                finally:
-                    release_token()
-            """,
-        )
-        assert findings == []
-
-    def test_returned_handle_is_an_ownership_transfer(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def make(n):
-                shm = SharedMemory(create=True, size=n)
-                return Handle(shm, n)
-            """,
         )
         assert findings == []
 
@@ -451,6 +372,18 @@ class TestWalBeforeAckPass:
         )
         assert findings == []
 
+    def test_rule_install_before_append_fires(self):
+        findings = run_pass(
+            WalBeforeAckPass(),
+            """
+            def upload(app, tenant, entries, report, payload):
+                tenant.install_rules(entries, report.skippable, payload)
+                app.durability.log_rules(tenant, payload)
+            """,
+            self.PATH,
+        )
+        assert [f.code for f in findings] == ["SC006"]
+
     def test_non_server_module_is_out_of_scope(self):
         findings = run_pass(
             WalBeforeAckPass(),
@@ -655,9 +588,12 @@ class TestSuppressions:
 class TestRunner:
     def test_every_code_is_registered(self):
         assert sorted(SC_CODES) == [
-            "SC000", "SC001", "SC002", "SC003",
+            "SC000", "SC001", "SC002",
             "SC004", "SC005", "SC006", "SC007", "SC008",
         ]
+        # Retired numbers stay reserved: never registered again.
+        assert sorted(RETIRED_CODES) == ["SC003"]
+        assert not set(RETIRED_CODES) & set(SC_CODES)
         pass_codes = {p.code for p in default_passes()}
         assert pass_codes == set(SC_CODES) - {"SC000"}
 
