@@ -42,9 +42,10 @@ import pytest
 from repro.core.heterogeneous.md import MD
 from repro.core.heterogeneous.mfd import MFD
 from repro.core.numerical.od import OD
-from repro.plan import kernel_backend, pairwise_violations
+from repro.plan import pairwise_violations
 from repro.plan.parallel import last_run
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from repro.runtime import execution
 
 from _harness import format_rows, write_artifact
 
@@ -162,7 +163,7 @@ def measurements():
     for name, (make, workload, backend, n) in CASES.items():
         relation = workload(n)
         dep = make()
-        with kernel_backend(backend):
+        with execution(backend=backend):
             t1, serial = _timed(lambda: pairwise_violations(dep, relation))
             t4, merged = _timed(
                 lambda: pairwise_violations(dep, relation, workers=WORKERS)

@@ -36,8 +36,8 @@ import pytest
 from repro.core.heterogeneous.dd import DD
 from repro.core.heterogeneous.md import MD
 from repro.core.numerical.od import OD
-from repro.plan import COUNTERS, kernel_backend
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from repro.runtime import execution
 from tests import oracles
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
@@ -116,17 +116,18 @@ def _snapshot(dep, relation):
 
 
 def _timed_counted(fn):
-    """(seconds, result, counter deltas) for one measured run."""
-    COUNTERS.reset()
-    start = time.perf_counter()
-    out = fn()
-    elapsed = time.perf_counter() - start
+    """(seconds, result, the run's kernel counters) for one measured run."""
+    with execution() as scope:
+        start = time.perf_counter()
+        out = fn()
+        elapsed = time.perf_counter() - start
+    run = scope.counters
     counters = {
-        "backends": COUNTERS.backends(),
-        "by_strategy": dict(COUNTERS.by_strategy),
-        "candidates_by_strategy": dict(COUNTERS.candidates_by_strategy),
-        "verified_by_strategy": dict(COUNTERS.verified_by_strategy),
-        "chunks": COUNTERS.chunks,
+        "backends": run.backends(),
+        "by_strategy": dict(run.by_strategy),
+        "candidates_by_strategy": dict(run.candidates_by_strategy),
+        "verified_by_strategy": dict(run.verified_by_strategy),
+        "chunks": run.chunks,
     }
     return elapsed, out, counters
 
@@ -168,12 +169,12 @@ def speedups():
         for n in LARGE_SIZES:
             relation = workload(n)
             dep = make()
-            with kernel_backend("scalar"):
+            with execution(backend="scalar"):
                 t_scalar, expected, __ = _timed_counted(
                     lambda: _snapshot(dep, relation)
                 )
             dep = make()
-            with kernel_backend("vector"):
+            with execution(backend="vector"):
                 t_vec, got, counters = _timed_counted(
                     lambda: _snapshot(dep, relation)
                 )

@@ -49,6 +49,7 @@ from .relation import Attribute, AttributeType, Relation, Schema
 from .relation.io import read_csv
 from .runtime.budget import Budget, checkpoint, governed
 from .runtime.errors import BudgetExhausted, ReproError
+from .runtime.execution import current_scope, execution
 
 
 def _detect_schema(path: str, numerical: set[str], text: set[str]) -> Schema:
@@ -97,6 +98,15 @@ def _parse_fd(spec: str) -> FD:
         [a.strip() for a in lhs.split(",") if a.strip()],
         [a.strip() for a in rhs.split(",") if a.strip()],
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _budget_from_args(args: argparse.Namespace) -> Budget | None:
@@ -392,7 +402,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .plan import PlanCompileError, compile_dependency, kernel_backend_mode
+    from .plan import PlanCompileError, compile_dependency
     from .relation.encoding import HAS_NUMPY
 
     from .rules_io import RuleFileError, load_rules
@@ -402,7 +412,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except RuleFileError as exc:
         print(f"[error] {exc}")
         return 2
-    mode = kernel_backend_mode()
+    mode = current_scope().backend
     substrate = "numpy" if HAS_NUMPY else "no numpy (scalar only)"
     print(f"kernel backend: {mode} [{substrate}]")
     exit_code = 0
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workers_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--workers", type=int, default=None,
+            "--workers", type=_positive_int, default=None,
             help="forked processes for sharded pairwise checking on "
             "relations of at least 2048 rows (default: serial); results "
             "are order-identical to serial execution; pays on "
@@ -589,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reported in the startup log line)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4, dest="threads",
+        "--workers", type=_positive_int, default=4, dest="threads",
         help="engine and job worker threads (default 4); rule checks "
         "run in-process on these threads, never in a process pool",
     )
@@ -643,17 +653,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        from .plan import set_workers
-
-        # check/profile fan out from this (main) thread; each fan-out
-        # forks a fresh worker set once its job is bound.  serve takes
-        # no process count: its --workers sizes thread pools, and
-        # off-main-thread checks are always serial.
-        set_workers(workers)
     try:
-        return args.func(args)
+        if args.func is cmd_serve:
+            # serve stays in the root scope, whose counters /metrics
+            # reports: its startup WAL replay runs kernels on this
+            # thread.  Its --workers sizes thread pools, and checks off
+            # the main thread never fan out.  Reading the root scope
+            # here rejects a bad REPRO_KERNEL_BACKEND before it serves.
+            current_scope()
+            return cmd_serve(args)
+        # check/profile fan out from this (main) thread; each fan-out
+        # forks a fresh worker set once its job is bound.
+        with execution(workers=getattr(args, "workers", None)):
+            return args.func(args)
     except ReproError as exc:
         # Typed library errors (bad input, engine faults) are user
         # messages, not tracebacks.

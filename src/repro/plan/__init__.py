@@ -11,15 +11,17 @@ each notation running its own blind O(n²) loop.
 The kernel layer has two backends: the scalar generators in
 :mod:`repro.plan.kernels` and the vectorized columnar twins in
 :mod:`repro.plan.kernels_vec` (batch numpy clause masks over the
-encoded columns).  :func:`kernel_backend` / ``REPRO_KERNEL_BACKEND``
-select between ``auto`` (vectorize eligible plans on large relations),
-``vector`` (force whenever eligible) and ``scalar`` (never).
+encoded columns).  The execution scope (:func:`repro.runtime.execution`;
+``REPRO_KERNEL_BACKEND`` at the root) selects ``auto`` (vectorize
+eligible plans on large relations), ``vector`` (whenever eligible) or
+``scalar`` (never), and collects the kernel counters.
 
 Layering: relation substrate → plan IR → kernels → engines
 (detection / discovery / incremental / profiling).  See
 ``docs/architecture.md``.
 """
 
+from ..runtime.execution import KernelCounters
 from .compile import compile_dependency, compile_guards
 from .ir import (
     ALPHA,
@@ -36,9 +38,6 @@ from .ir import (
     PredicateAtom,
     ResemblanceAtom,
     ThetaAtom,
-    kernel_backend,
-    kernel_backend_mode,
-    set_kernel_backend,
 )
 from .entry import (
     build_verify,
@@ -50,18 +49,12 @@ from .entry import (
 )
 from .kernels import (
     COUNTERS,
-    KernelCounters,
     execute_pairs,
     execute_pairs_keyed,
     execute_rows,
     strategy_hint,
 )
-from .parallel import (
-    resolve_workers,
-    set_workers,
-    workers,
-    workers_mode,
-)
+from .parallel import resolve_workers
 from .slabs import ExecutionContext, context_for
 
 __all__ = [
@@ -79,9 +72,6 @@ __all__ = [
     "PredicateAtom",
     "ResemblanceAtom",
     "ThetaAtom",
-    "kernel_backend",
-    "kernel_backend_mode",
-    "set_kernel_backend",
     "compile_dependency",
     "compile_guards",
     "COUNTERS",
@@ -99,7 +89,4 @@ __all__ = [
     "ExecutionContext",
     "context_for",
     "resolve_workers",
-    "set_workers",
-    "workers",
-    "workers_mode",
 ]

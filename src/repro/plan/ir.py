@@ -51,69 +51,17 @@ sound over-approximation and never changes reported semantics.
 Plans are the only evaluation path for pairwise checks; the parity
 suites compare them against the all-pairs reference scans in
 ``tests/oracles.py``.
-
-Plans additionally carry a *kernel backend* switch: atoms whose
-semantics reduce to bulk array operations over the encoded substrate
-declare ``vectorizable = True``, and plans made entirely of such atoms
-may be executed by :mod:`repro.plan.kernels_vec` as whole-clause numpy
-computations instead of per-pair Python.  ``REPRO_KERNEL_BACKEND``
-(or :func:`set_kernel_backend` / :func:`kernel_backend`) selects
-``"auto"`` (vectorize large relations, default), ``"vector"`` (force
-vectorized wherever eligible), or ``"scalar"`` (never vectorize).
 """
 
 from __future__ import annotations
 
 import operator
-import os
-from contextlib import contextmanager
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
+from ..runtime.execution import current_scope
+
 Value = Any
-
-_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-_BACKEND_MODES = ("auto", "vector", "scalar")
-
-_backend_override: str | None = None
-
-
-def set_kernel_backend(mode: str | None) -> None:
-    """Force the kernel backend: ``"auto"``, ``"vector"``, ``"scalar"``.
-
-    ``None`` restores the default: the ``REPRO_KERNEL_BACKEND``
-    environment variable, else ``"auto"``.  ``"vector"`` uses the
-    columnar kernels for every eligible plan regardless of relation
-    size; ``"scalar"`` never vectorizes; ``"auto"`` vectorizes eligible
-    plans on relations large enough to amortize array setup.
-    """
-    global _backend_override
-    if mode is not None and mode not in _BACKEND_MODES:
-        raise ValueError(f"unknown kernel backend {mode!r}")
-    _backend_override = mode
-
-
-@contextmanager
-def kernel_backend(mode: str | None) -> Iterator[None]:
-    """Temporarily force the kernel backend (for tests and benchmarks)."""
-    global _backend_override
-    previous = _backend_override
-    set_kernel_backend(mode)
-    try:
-        yield
-    finally:
-        _backend_override = previous
-
-
-def kernel_backend_mode() -> str:
-    """The active backend mode: ``"auto"``, ``"vector"`` or ``"scalar"``."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(_BACKEND_ENV, "")
-    if env in _BACKEND_MODES:
-        return env
-    return "auto"
 
 
 class PlanCompileError(ValueError):
@@ -586,7 +534,7 @@ class Plan:
 
         shape = "single-tuple" if self.arity == 1 else self.style
         kernel = "skipped (never fires)" if self.never else strategy_hint(self)
-        mode = kernel_backend_mode()
+        mode = current_scope().backend
         if self.never:
             backend = "none"
         elif mode == "scalar":

@@ -35,11 +35,11 @@ Each strategy additionally has a *vectorized* twin in
 :mod:`repro.plan.kernels_vec` that evaluates whole clauses as batch
 numpy operations over the encoded columns (strategy names prefixed
 ``vec-``).  ``execute_pairs``/``execute_rows`` route per plan and
-context: the vectorized backend is chosen when the
-``REPRO_KERNEL_BACKEND`` mode allows it, numpy and the encoding layer
-are available, every atom is vectorizable, and the snapshot is large
-enough to amortize array setup — otherwise the scalar kernels below
-run unchanged.
+context: the vectorized backend is chosen when the execution scope's
+backend allows it, numpy and the encoding layer are available, every
+atom is vectorizable, and the snapshot is large enough to amortize
+array setup — otherwise the scalar kernels below run unchanged.  Work
+is counted into the scope's :class:`KernelCounters`.
 
 Every candidate generator accepts a ``shard=(k, m)`` selector that
 keeps only the candidates whose *owner index* (partition group, metric
@@ -58,14 +58,15 @@ escapes to the entry point, which reports honest partial results.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from ..runtime import checkpoint
-from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan, kernel_backend_mode
+# COUNTERS is re-exported: the root scope's counters, the process totals.
+from ..runtime.execution import COUNTERS as COUNTERS, current_scope
+from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan
 from .slabs import HAS_NUMPY, ExecutionContext
 
 #: Pairs charged to the budget per checkpoint call.
@@ -84,177 +85,6 @@ Shard = "tuple[int, int] | None"
 
 def _owned(shard: tuple[int, int] | None, index: int) -> bool:
     return shard is None or index % shard[1] == shard[0]
-
-
-@dataclass
-class KernelCounters:
-    """Cheap global instrumentation (profiler + benchmarks).
-
-    Backend-aware: vectorized executions record strategies prefixed
-    ``vec-`` (``vec-group``, ``vec-sweep``, ...) plus the number of
-    streamed index chunks, while scalar executions keep the bare
-    strategy names — :meth:`backends` aggregates either way.
-
-    Process-composable: counter deltas (:meth:`diff`) fold back with
-    :meth:`merge`.  Each forked shard of the parallel executor starts
-    from zeroed counters with a fresh lock, ships its :meth:`snapshot`
-    home with its hits, and the parent merges it, so parent totals
-    always equal the sum of shard totals (pinned by
-    ``tests/test_parallel.py``).  Pickling drops the lock and restores
-    a fresh one on load.
-
-    Thread-safety: the scalar fields are plain increments (atomic
-    enough under the GIL for monitoring purposes), but the per-strategy
-    *dicts* are mutated through :meth:`note` / :meth:`note_work`, which
-    take a lock shared with :meth:`snapshot` and :meth:`reset` — a
-    metrics scraper can snapshot concurrently with active kernels
-    without tripping over a dict resized mid-iteration, and never
-    observes a half-applied note.
-    """
-
-    executions: int = 0
-    pairs_examined: int = 0
-    pairs_total: int = 0
-    #: Streamed index blocks evaluated by the vectorized backend (each
-    #: one is also a budget checkpoint).
-    chunks: int = 0
-    by_strategy: dict[str, int] = field(default_factory=dict)
-    #: Candidate pairs examined / verified hits, per strategy name.
-    candidates_by_strategy: dict[str, int] = field(default_factory=dict)
-    verified_by_strategy: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def note(self, strategy: str) -> None:
-        with self._lock:
-            self.by_strategy[strategy] = (
-                self.by_strategy.get(strategy, 0) + 1
-            )
-
-    def note_work(
-        self, strategy: str, *, candidates: int = 0, verified: int = 0
-    ) -> None:
-        """Record a finished execution's candidate/verified volume."""
-        with self._lock:
-            self.candidates_by_strategy[strategy] = (
-                self.candidates_by_strategy.get(strategy, 0) + candidates
-            )
-            self.verified_by_strategy[strategy] = (
-                self.verified_by_strategy.get(strategy, 0) + verified
-            )
-
-    def snapshot(self) -> "KernelCounters":
-        """A detached, consistent copy for metrics scrapers.
-
-        Safe to call while kernels are executing on other threads: the
-        per-strategy dicts are copied under the mutation lock, so the
-        copy never sees a resize-in-progress, and mutating the returned
-        object (or the live counters afterwards) affects neither.
-        """
-        with self._lock:
-            out = KernelCounters(
-                executions=self.executions,
-                pairs_examined=self.pairs_examined,
-                pairs_total=self.pairs_total,
-                chunks=self.chunks,
-                by_strategy=dict(self.by_strategy),
-                candidates_by_strategy=dict(self.candidates_by_strategy),
-                verified_by_strategy=dict(self.verified_by_strategy),
-            )
-        return out
-
-    def diff(self, earlier: "KernelCounters") -> "KernelCounters":
-        """The work recorded since an ``earlier`` snapshot.
-
-        Composable with :meth:`merge`: ``earlier.merge(self.diff(earlier))``
-        reproduces ``self`` field for field.  Call on detached
-        snapshots (both operands are read without locking).
-        """
-
-        def delta(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-            return {
-                k: a.get(k, 0) - b.get(k, 0)
-                for k in a.keys() | b.keys()
-                if a.get(k, 0) != b.get(k, 0)
-            }
-
-        return KernelCounters(
-            executions=self.executions - earlier.executions,
-            pairs_examined=self.pairs_examined - earlier.pairs_examined,
-            pairs_total=self.pairs_total - earlier.pairs_total,
-            chunks=self.chunks - earlier.chunks,
-            by_strategy=delta(self.by_strategy, earlier.by_strategy),
-            candidates_by_strategy=delta(
-                self.candidates_by_strategy, earlier.candidates_by_strategy
-            ),
-            verified_by_strategy=delta(
-                self.verified_by_strategy, earlier.verified_by_strategy
-            ),
-        )
-
-    def merge(self, other: "KernelCounters") -> None:
-        """Fold a detached counter delta (e.g. a worker's) into this one."""
-        with self._lock:
-            self.executions += other.executions
-            self.pairs_examined += other.pairs_examined
-            self.pairs_total += other.pairs_total
-            self.chunks += other.chunks
-            for src, dst in (
-                (other.by_strategy, self.by_strategy),
-                (other.candidates_by_strategy, self.candidates_by_strategy),
-                (other.verified_by_strategy, self.verified_by_strategy),
-            ):
-                for k, v in src.items():
-                    dst[k] = dst.get(k, 0) + v
-
-    def backends(self) -> dict[str, int]:
-        """Execution counts aggregated to ``scalar`` / ``vectorized``."""
-        out: dict[str, int] = {}
-        for strategy, count in self.by_strategy.items():
-            key = "vectorized" if strategy.startswith("vec-") else "scalar"
-            out[key] = out.get(key, 0) + count
-        return out
-
-    def reset(self) -> None:
-        with self._lock:
-            self.executions = 0
-            self.pairs_examined = 0
-            self.pairs_total = 0
-            self.chunks = 0
-            self.by_strategy = {}
-            self.candidates_by_strategy = {}
-            self.verified_by_strategy = {}
-
-    def pruned_fraction(self) -> float:
-        """Fraction of the blind O(n²) pair space the kernels skipped.
-
-        Guarded for the zero-candidate case: with no recorded pair
-        space (empty snapshots, nothing executed) the fraction is 0.0
-        rather than a division error.
-        """
-        if self.pairs_total <= 0:
-            return 0.0
-        return 1.0 - min(1.0, max(0, self.pairs_examined) / self.pairs_total)
-
-    def __getstate__(self) -> dict[str, Any]:
-        snap = self.snapshot()
-        return {
-            "executions": snap.executions,
-            "pairs_examined": snap.pairs_examined,
-            "pairs_total": snap.pairs_total,
-            "chunks": snap.chunks,
-            "by_strategy": snap.by_strategy,
-            "candidates_by_strategy": snap.candidates_by_strategy,
-            "verified_by_strategy": snap.verified_by_strategy,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-COUNTERS = KernelCounters()
 
 
 # -- strategy selection ------------------------------------------------------
@@ -678,13 +508,13 @@ RowVerify = Callable[[int], "tuple[Any, Any] | None"]
 def _vector_binding(plan: Plan, ctx: ExecutionContext) -> Any | None:
     """The bound vectorized plan, or ``None`` for the scalar path.
 
-    Routing order: the ``REPRO_KERNEL_BACKEND`` mode (``scalar`` never
+    Routing order: the execution scope's backend (``scalar`` never
     vectorizes; ``auto`` additionally requires ``_VEC_MIN_ROWS`` rows),
     numpy being importable, the plan's static per-atom
     vectorizability, and finally :func:`kernels_vec.bind`'s dynamic
     per-context checks (column representability, metric identity).
     """
-    mode = kernel_backend_mode()
+    mode = current_scope().backend
     if mode == "scalar":
         return None
     if not HAS_NUMPY:
@@ -741,13 +571,14 @@ def execute_pairs_keyed(
     """
     n = ctx.n
     root = shard is None
+    counters = current_scope().counters
     if root:
-        COUNTERS.executions += 1
-        COUNTERS.pairs_total += n * (n - 1) // 2
+        counters.executions += 1
+        counters.pairs_total += n * (n - 1) // 2
     if plan.never:
         # Static analysis proved no clause can fire — nothing to scan.
         if root:
-            COUNTERS.note("never")
+            counters.note("never")
         return "never", []
     vp = _vector_binding(plan, ctx)
     hits: list[tuple[Any, Any]]
@@ -756,28 +587,28 @@ def execute_pairs_keyed(
 
         strategy = f"vec-{vp.strategy}"
         if root:
-            COUNTERS.note(strategy)
-        examined = COUNTERS.pairs_examined
+            counters.note(strategy)
+        examined = counters.pairs_examined
         hits = kernels_vec.run_pairs(
             vp, verify, restrict=restrict, first_only=first_only,
             shard=shard,
         )
-        COUNTERS.note_work(
+        counters.note_work(
             strategy,
-            candidates=COUNTERS.pairs_examined - examined,
+            candidates=counters.pairs_examined - examined,
             verified=len(hits),
         )
         return strategy, hits
     strategy, candidates = _candidates(plan, ctx, restrict, shard)
     if root:
-        COUNTERS.note(strategy)
+        counters.note(strategy)
     hits = []
     pending = 0
     examined = 0
     for p, q in candidates:
         pending += 1
         if pending >= _BATCH:
-            COUNTERS.pairs_examined += pending
+            counters.pairs_examined += pending
             examined += pending
             checkpoint(pairs=pending)
             pending = 0
@@ -786,10 +617,10 @@ def execute_pairs_keyed(
             hits.append(hit)
             if first_only:
                 break
-    COUNTERS.pairs_examined += pending
+    counters.pairs_examined += pending
     examined += pending
     checkpoint(pairs=pending)
-    COUNTERS.note_work(strategy, candidates=examined, verified=len(hits))
+    counters.note_work(strategy, candidates=examined, verified=len(hits))
     return strategy, hits
 
 
@@ -825,23 +656,24 @@ def execute_rows(
     first_only: bool = False,
 ) -> list[Any]:
     """Run a single-tuple (arity-1) plan over rows."""
-    COUNTERS.executions += 1
+    counters = current_scope().counters
+    counters.executions += 1
     if plan.never:
-        COUNTERS.note("never")
+        counters.note("never")
         return []
     vp = _vector_binding(plan, ctx)
     hits: list[tuple[Any, Any]]
     if vp is not None:
         from . import kernels_vec
 
-        COUNTERS.note("vec-rows")
+        counters.note("vec-rows")
         hits = kernels_vec.run_rows(
             vp, verify, restrict=restrict, first_only=first_only
         )
-        COUNTERS.note_work("vec-rows", verified=len(hits))
+        counters.note_work("vec-rows", verified=len(hits))
         hits.sort(key=lambda item: item[0])
         return [payload for _, payload in hits]
-    COUNTERS.note("rows")
+    counters.note("rows")
     rows: Iterable[int] = (
         sorted(restrict) if restrict is not None else range(ctx.n)
     )
@@ -858,6 +690,6 @@ def execute_rows(
             if first_only:
                 break
     checkpoint()
-    COUNTERS.note_work("rows", verified=len(hits))
+    counters.note_work("rows", verified=len(hits))
     hits.sort(key=lambda item: item[0])
     return [payload for _, payload in hits]

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..runtime import checkpoint
 from ..runtime.errors import BudgetExhausted
+from ..runtime.execution import current_scope
 from .ir import (
     CmpAtom,
     ConstAtom,
@@ -761,8 +762,7 @@ def run_pairs(
     its own blocks to the counters/budget, and the per-block totals sum
     across shards to the unsharded run's totals.
     """
-    from .kernels import COUNTERS
-
+    counters = current_scope().counters
     rmask: _Arr | None = None
     if restrict is not None:
         rmask = np.zeros(vp.n, dtype=bool)
@@ -777,8 +777,8 @@ def run_pairs(
         size = len(p)
         if size == 0:
             continue
-        COUNTERS.pairs_examined += size
-        COUNTERS.chunks += 1
+        counters.pairs_examined += size
+        counters.chunks += 1
         checkpoint(pairs=size)
         mask = vp.violation_mask(p, q)
         if not mask.any():
@@ -802,8 +802,7 @@ def run_rows(
     first_only: bool = False,
 ) -> list[tuple[Any, Any]]:
     """Single-tuple plans: one mask pass over the row index array."""
-    from .kernels import COUNTERS
-
+    counters = current_scope().counters
     if restrict is not None:
         rows = np.asarray(
             sorted(r for r in restrict if 0 <= r < vp.n), dtype=np.int64
@@ -813,7 +812,7 @@ def run_rows(
     hits: list[tuple[Any, Any]] = []
     for s in range(0, len(rows), _CHUNK):
         chunk = rows[s:s + _CHUNK]
-        COUNTERS.chunks += 1
+        counters.chunks += 1
         checkpoint()
         mask = vp.denies(chunk, chunk)
         for r in chunk[mask].tolist():

@@ -12,7 +12,7 @@ disjoint slice and the union is pair-for-pair the single-core run.
 This module owns the fan-out:
 
 * **selection** — an explicit ``workers=`` argument wins outright;
-  the ambient count (:func:`set_workers` / :func:`workers`, set by the
+  the ambient count (the execution scope's ``workers``, set by the
   CLI's ``--workers``) applies only to snapshots of at least
   :data:`MIN_ROWS` rows, so small checks stay serial;
 * **transport** — none.  Each fan-out binds its job (plan, execution
@@ -33,16 +33,15 @@ This module owns the fan-out:
   bite), and cancellation — from the parent's poll loop, any exhausted
   sibling, or an exception in the parent — is observed at the next
   cooperative checkpoint;
-* **accounting** — each shard starts from zeroed
-  :class:`KernelCounters`; its counters come home with its hits and
-  merge into the parent's, so parent totals equal the sum of shard
-  totals.
+* **accounting** — each shard counts in an execution scope of its
+  own; those counters come home with its hits and merge into the
+  caller's scope, so its totals equal the sum of shard totals.
 
 Fan-outs fork only from the main thread: a call from any other thread
 (a server's engine and job threads included) runs serially, and so
-does a nested call inside a child.  A crashed child, or an error
-raised inside a shard, degrades to ``None`` and the entry layer runs
-the identical serial path.
+does a nested call inside a child, which inherits the in-flight job.
+A crashed child, or an error raised inside a shard, degrades to
+``None`` and the entry layer runs the identical serial path.
 """
 
 from __future__ import annotations
@@ -50,50 +49,20 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
 from ..runtime import Budget, BudgetExhausted, current_budget, governed
 from ..runtime.budget import ShardToken
+from ..runtime.execution import COUNTERS, current_scope, execution
 from .ir import Plan
-from .kernels import COUNTERS, execute_pairs_keyed
+from .kernels import execute_pairs_keyed
 from .slabs import ExecutionContext, context_for
 
 #: Ambient fan-out floor: smaller snapshots check serially.
 MIN_ROWS = 2048
 _POLL_S = 0.05
-
-#: Ambient worker count (``None``: serial unless a call asks).
-_workers_override: int | None = None
-#: Set in forked children: nested entry points stay serial.
-_in_worker = False
-
-
-def set_workers(n: int | None) -> None:
-    """Set the ambient worker count (``None`` restores serial)."""
-    global _workers_override
-    if n is not None and int(n) < 1:
-        raise ValueError(f"worker count must be >= 1, got {n!r}")
-    _workers_override = None if n is None else int(n)
-
-
-@contextmanager
-def workers(n: int | None) -> Iterator[None]:
-    """Temporarily set the ambient worker count (tests and benchmarks)."""
-    global _workers_override
-    previous = _workers_override
-    set_workers(n)
-    try:
-        yield
-    finally:
-        _workers_override = previous
-
-
-def workers_mode() -> int | None:
-    """The ambient worker count, or ``None``."""
-    return _workers_override
 
 
 def resolve_workers(explicit: int | None, n_rows: int) -> int:
@@ -102,16 +71,17 @@ def resolve_workers(explicit: int | None, n_rows: int) -> int:
     An explicit ``workers=`` argument wins outright (the caller asked);
     the ambient count applies only to snapshots of at least
     :data:`MIN_ROWS` rows, so ``repro check --workers 4`` doesn't tax
-    every small rule check with process dispatch.
+    every small rule check with process dispatch.  Inside a forked
+    shard, which inherits the in-flight job, it is always 1.
     """
-    if _in_worker:
+    if _job is not None:
         return 1
     if explicit is not None:
         return max(1, int(explicit))
-    mode = workers_mode()
-    if mode is None or mode <= 1 or n_rows < MIN_ROWS:
+    ambient = current_scope().workers
+    if ambient is None or n_rows < MIN_ROWS:
         return 1
-    return mode
+    return ambient
 
 
 # -- child side --------------------------------------------------------------
@@ -137,10 +107,8 @@ _job: _Job | None = None
 
 def _init_child() -> None:
     """Runs once in each forked child, before its first shard."""
-    global _in_worker
-    _in_worker = True
-    # Another parent thread may have held the counters' lock at the
-    # fork; that thread does not exist here to release it.
+    # Another parent thread may have held the root counters' lock at
+    # the fork; that thread does not exist here to release it.
     COUNTERS._lock = threading.Lock()
 
 
@@ -151,11 +119,10 @@ def _run_shard(k: int) -> dict[str, Any]:
     budget = Budget(
         deadline_s=job.deadline_s, max_memory_bytes=job.max_memory_bytes
     ).bind_token(job.token, k)
-    COUNTERS.reset()
     exhausted = strategy = ""
     hits: list[tuple[Any, Any]] = []
     try:
-        with governed(budget):
+        with governed(budget), execution() as scope:
             strategy, hits = execute_pairs_keyed(
                 job.plan, job.ctx, job.verify,
                 restrict=job.restrict, shard=(k, job.workers),
@@ -166,7 +133,7 @@ def _run_shard(k: int) -> dict[str, Any]:
     return {
         "hits": hits,
         "strategy": strategy,
-        "counters": COUNTERS.snapshot(),
+        "counters": scope.counters.snapshot(),
         "candidates": budget.candidates,
         "pairs": budget.pairs,
         "exhausted": exhausted,
@@ -310,11 +277,12 @@ def _merge(
     """Fold shard results into one serial-identical payload list."""
     global _last_run
     strategy = next((r["strategy"] for r in results if r["strategy"]), "never")
-    COUNTERS.executions += 1
-    COUNTERS.pairs_total += n * (n - 1) // 2
-    COUNTERS.note(strategy)
+    counters = current_scope().counters
+    counters.executions += 1
+    counters.pairs_total += n * (n - 1) // 2
+    counters.note(strategy)
     for r in results:
-        COUNTERS.merge(r["counters"])
+        counters.merge(r["counters"])
     for r in results:
         exhausted = exhausted or r["exhausted"]
     keyed: list[tuple[Any, Any]] = []

@@ -32,6 +32,7 @@ from .relation.partition_cache import cache_for
 from .relation.relation import Relation
 from .runtime.budget import Budget, checkpoint, governed, resolve_budget
 from .runtime.errors import BudgetExhausted
+from .runtime.execution import execution
 
 
 @dataclass
@@ -104,14 +105,10 @@ def profile_relation(
     out, and the report gains a note naming the partial passes —
     profiling under a deadline degrades to fewer rules, not an error.
     """
-    from .plan import COUNTERS
-
     report = ProfileReport(relation)
     if len(relation) == 0:
         report.notes.append("empty relation: nothing to profile")
         return report
-    kernel_examined = COUNTERS.pairs_examined
-    kernel_total = COUNTERS.pairs_total
 
     def add(category: str, deps, result=None) -> None:
         stats = getattr(result if result is not None else deps, "stats", None)
@@ -126,7 +123,7 @@ def profile_relation(
             report.rules.append(RuleReport(dep, category, count))
 
     budget = resolve_budget(budget)
-    with governed(budget):
+    with governed(budget), execution() as scope:
         try:
             # Exact FDs.
             exact = tane(relation, max_lhs_size=max_lhs_size)
@@ -186,14 +183,14 @@ def profile_relation(
             )
 
     # Pairwise rule evaluation runs through the compiled plan kernels;
-    # surface how much of the O(n²) pair space they skipped.
-    examined = COUNTERS.pairs_examined - kernel_examined
-    total = COUNTERS.pairs_total - kernel_total
-    if total > 0:
-        pruned = 1.0 - min(1.0, examined / total)
+    # surface how much of the O(n²) pair space they skipped.  The
+    # passes ran in a scope of their own: no other thread's work counts.
+    counters = scope.counters
+    if counters.pairs_total > 0:
         report.notes.append(
-            f"plan kernels: examined {examined} of {total} candidate "
-            f"pairs ({pruned:.0%} pruned)"
+            f"plan kernels: examined {counters.pairs_examined} of "
+            f"{counters.pairs_total} candidate pairs "
+            f"({counters.pruned_fraction():.0%} pruned)"
         )
 
     # Both TANE passes, CFDMiner, and the per-rule violation counts all

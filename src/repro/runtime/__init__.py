@@ -9,6 +9,9 @@ bounded latency with honest degradation:
   :class:`EngineFault`);
 * :mod:`repro.runtime.budget` — :class:`Budget`,
   :func:`checkpoint`, and the ambient :func:`governed` scope;
+* :mod:`repro.runtime.execution` — the ambient
+  :class:`ExecutionScope` (kernel backend, worker count, kernel
+  counters) entered with :func:`execution`;
 * :mod:`repro.runtime.faults` — the fault-injection harness for the
   substrate/metric boundary (imported lazily; test/bench tooling).
 """
@@ -26,6 +29,7 @@ from .budget import (
     verify_on_sample,
 )
 from .errors import BudgetExhausted, EngineFault, InputError, ReproError
+from .execution import ExecutionScope, current_scope, execution
 
 __all__ = [
     "Budget",
@@ -36,6 +40,9 @@ __all__ = [
     "resolve_budget",
     "sample_relation",
     "verify_on_sample",
+    "ExecutionScope",
+    "current_scope",
+    "execution",
     "BudgetExhausted",
     "EngineFault",
     "InputError",

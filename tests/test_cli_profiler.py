@@ -112,6 +112,23 @@ class TestCLI:
         code = main(["check", r1_csv, "--fd", "nope->region"])
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "r1.csv", "--fd", "address->region"],
+         ["profile", "r1.csv"],
+         ["serve"]],
+        ids=["check", "profile", "serve"],
+    )
+    def test_workers_must_be_positive(self, command, count, capsys):
+        """A usage error (exit 2), not a traceback with the exit code
+        that means "violations found"."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", count])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --workers: must be a positive integer, got {count!r}" in err
+
     def test_tree_command(self, capsys):
         assert main(["tree"]) == 0
         assert "Family tree" in capsys.readouterr().out

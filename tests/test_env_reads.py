@@ -3,10 +3,11 @@
 An environment variable read deep in the library is a process-global
 mode: it selects behaviour for every caller in the process, server
 tenants included, and doubles the configurations the tests must cover.
-The two readers left are the kernel-backend selection
-(``plan/ir.py``, ``REPRO_KERNEL_BACKEND``) and crash-point fault
-injection (``runtime/faults.py``, ``REPRO_CRASH_POINT``).  A new
-reader has to be added to the set below on purpose.
+The two readers left are the root execution scope's kernel backend
+(``runtime/execution.py``, ``REPRO_KERNEL_BACKEND``, read once per
+process) and crash-point fault injection (``runtime/faults.py``,
+``REPRO_CRASH_POINT``).  A new reader has to be added to the set below
+on purpose.
 """
 
 from __future__ import annotations
@@ -43,4 +44,4 @@ def test_environment_readers_are_exactly_the_known_two():
         for path in SRC.rglob("*.py")
         if _reads_environment(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert readers == {"runtime/faults.py", "plan/ir.py"}
+    assert readers == {"runtime/faults.py", "runtime/execution.py"}

@@ -352,7 +352,8 @@ class TestSnapshotLifetime:
     """
 
     def test_superseded_snapshots_free_without_gc(self):
-        from repro.plan import kernel_backend, pairwise_violations
+        from repro.plan import pairwise_violations
+        from repro.runtime import execution
 
         rng = random.Random(14)
 
@@ -369,7 +370,7 @@ class TestSnapshotLifetime:
         refs = []
         gc.disable()
         try:
-            with kernel_backend("vector"):
+            with execution(backend="vector"):
                 for b in range(5):
                     r = r.apply_delta(
                         Delta(

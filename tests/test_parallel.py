@@ -3,8 +3,8 @@
 The contract under test: for every pairwise notation, backend and
 option combination, ``workers=N`` produces violation lists (and
 :class:`DetectionReport` orderings) byte-identical to the serial
-executor, with parent counters equal to the sum of the per-shard
-deltas, and with budget exhaustion propagating *into* running shards
+executor, with the caller's scope counters equal to the sum of the
+per-shard counters, and with budget exhaustion propagating *into* running shards
 through the shared :class:`ShardToken`.  Shards are forked after the
 job is bound, so dependencies that cannot be pickled fan out too, and
 a shard never runs under an ambient budget it inherited.  When the
@@ -34,15 +34,19 @@ from repro.plan import (
     KernelCounters,
     denial_violations,
     guard_pairs,
-    kernel_backend,
     pairwise_violations,
     resolve_workers,
-    workers,
 )
 from repro.plan.parallel import MIN_ROWS, last_run
 from repro.quality.detection import Detector
 from repro.relation import Attribute, AttributeType, Relation, Schema
-from repro.runtime import Budget, BudgetExhausted, ShardToken, governed
+from repro.runtime import (
+    Budget,
+    BudgetExhausted,
+    ShardToken,
+    execution,
+    governed,
+)
 
 
 def make_relation(n: int = 600, seed: int = 11) -> Relation:
@@ -185,36 +189,31 @@ class TestCounterMerge:
     def test_parent_totals_equal_sum_of_shard_deltas(self):
         rel = make_relation(900, seed=5)
         dep = MFD(["C"], ["B"], 1.0)
-        with kernel_backend("scalar"):
-            before = COUNTERS.snapshot()
-            serial = pairwise_violations(dep, rel)
-            serial_delta = COUNTERS.snapshot()
-            parallel = pairwise_violations(dep, rel, workers=4)
-            parent_delta = COUNTERS.snapshot()
+        with execution(backend="scalar"):
+            with execution() as serial_scope:
+                serial = pairwise_violations(dep, rel)
+            with execution() as parallel_scope:
+                parallel = pairwise_violations(dep, rel, workers=4)
         assert violation_bytes(parallel) == violation_bytes(serial)
         run = last_run()
         assert run is not None and run["workers"] == 4
-        serial_pairs = serial_delta.pairs_examined - before.pairs_examined
-        parent_pairs = (
-            parent_delta.pairs_examined - serial_delta.pairs_examined
-        )
+        # The shards' counters merged into the caller's scope.
+        got = parallel_scope.counters
         shard_pairs = sum(
             s["counters"].pairs_examined for s in run["shards"]
         )
-        assert parent_pairs == shard_pairs == serial_pairs
-        assert parent_delta.executions - serial_delta.executions == 1
+        assert got.pairs_examined == shard_pairs
+        assert got.pairs_examined == serial_scope.counters.pairs_examined
+        assert got.executions == serial_scope.counters.executions == 1
         n = len(rel)
-        assert (
-            parent_delta.pairs_total - serial_delta.pairs_total
-            == n * (n - 1) // 2
-        )
+        assert got.pairs_total == n * (n - 1) // 2
 
 
 class TestParity:
     @pytest.mark.parametrize("backend", ["scalar", "vector"])
     def test_all_notations_order_identical(self, backend):
         rel = make_relation(700, seed=23)
-        with kernel_backend(backend):
+        with execution(backend=backend):
             for dep in make_dependencies():
                 serial = run_dep(dep, rel)
                 parallel = run_dep(dep, rel, workers=4)
@@ -274,18 +273,38 @@ class TestParity:
         )
 
     def test_resolve_workers_gates(self, monkeypatch):
-        # The environment is no longer consulted: only set_workers()
+        # The environment is not consulted: only an execution scope
         # (the CLI's --workers) sets the ambient count.
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "1")
         assert resolve_workers(4, 10) == 4
         assert resolve_workers(None, 10) == 1
         assert resolve_workers(None, 100_000) == 1
-        with workers(4):
+        with execution(workers=4):
             assert resolve_workers(None, 10) == 1
             assert resolve_workers(None, MIN_ROWS - 1) == 1
             assert resolve_workers(None, MIN_ROWS) == 4
             assert resolve_workers(2, 100_000) == 2
+            with execution(backend="scalar"):
+                # A child scope inherits the count it does not set.
+                assert resolve_workers(None, MIN_ROWS) == 4
+            # A new thread starts in the root scope: serial.
+            seen: list[int] = []
+            thread = threading.Thread(
+                target=lambda: seen.append(resolve_workers(None, MIN_ROWS))
+            )
+            thread.start()
+            thread.join()
+            assert seen == [1]
+        assert resolve_workers(None, MIN_ROWS) == 1
+        for bad in (0, -3):
+            with pytest.raises(ValueError), execution(workers=bad):
+                pass
+        # A forked shard inherits the in-flight job and stays serial.
+        import repro.plan.parallel as par
+
+        monkeypatch.setattr(par, "_job", object())
+        assert resolve_workers(4, 100_000) == 1
 
     def test_off_main_thread_call_runs_serially(self):
         """A pool made on the main thread is never handed to another
@@ -344,7 +363,7 @@ class TestPropertyParity:
             OD(["A0"], ["A1"]),
             DC([pred2("A0", "="), pred2("A1", "!=")]),
         ][dep_ix]
-        with kernel_backend(backend):
+        with execution(backend=backend):
             if restrict is None:
                 one = Detector([dep]).detect(rel)
                 four_vs = run_dep(dep, rel, workers=4)
@@ -432,7 +451,7 @@ class TestForkedChildren:
         every violation (it used to return a silent partial list)."""
         rel = make_relation(3000, seed=79)
         dep = OD(["A"], ["B"])
-        with kernel_backend("scalar"):
+        with execution(backend="scalar"):
             serial = pairwise_violations(dep, rel)
             assert serial
             budget = Budget(deadline_s=1.0)
@@ -463,7 +482,7 @@ class TestBudgetPropagation:
         rel = make_relation(3000, seed=53)
         dep = MD({"name": 0.99}, ["C"])  # text metric: slow verify
         budget = Budget(deadline_s=0.15)
-        with kernel_backend("scalar"), governed(budget):
+        with execution(backend="scalar"), governed(budget):
             with pytest.raises(BudgetExhausted) as excinfo:
                 pairwise_violations(dep, rel, workers=4)
         assert excinfo.value.reason == "deadline"
@@ -477,7 +496,7 @@ class TestBudgetPropagation:
         rel = make_relation(1200, seed=59)
         dep = MFD(["C"], ["B"], 1.0)
         budget = Budget(max_pairs=2000)
-        with kernel_backend("scalar"), governed(budget):
+        with execution(backend="scalar"), governed(budget):
             with pytest.raises(BudgetExhausted) as excinfo:
                 pairwise_violations(dep, rel, workers=4)
         assert excinfo.value.reason == "pairs"
@@ -488,7 +507,7 @@ class TestBudgetPropagation:
         dep = MD({"name": 0.99}, ["C"])
         parent = Budget(deadline_s=30.0)
         stage = parent.child(deadline_s=0.15)
-        with kernel_backend("scalar"), governed(stage):
+        with execution(backend="scalar"), governed(stage):
             with pytest.raises(BudgetExhausted) as excinfo:
                 pairwise_violations(dep, rel, workers=4)
         assert excinfo.value.reason == "deadline"

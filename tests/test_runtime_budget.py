@@ -395,15 +395,11 @@ class TestKernelLoopsPollBudget:
     """Regression for the SC001 fixes: candidate generators poll the
     budget even when they yield nothing (violation-free data)."""
 
-    def test_sweep_generator_observes_deadline_without_yields(
-        self, monkeypatch
-    ):
+    def test_sweep_generator_observes_deadline_without_yields(self):
         from repro.core.numerical.od import OD
         from repro.relation import Relation
+        from repro.runtime import execution
 
-        # Force the scalar sweep: the vectorized prep has no
-        # per-candidate loop at all on violation-free data.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scalar")
         # Strictly increasing on both columns: the OD holds, so the
         # sweep yields no candidate pairs — before the fix nothing
         # charged the budget during generation.
@@ -423,7 +419,9 @@ class TestKernelLoopsPollBudget:
                     self, candidates=candidates, pairs=pairs
                 )
 
-        with governed(CountingBudget()):
+        # Force the scalar sweep: the vectorized prep has no
+        # per-candidate loop at all on violation-free data.
+        with execution(backend="scalar"), governed(CountingBudget()):
             assert od.holds(rel)
         # The generator-side polls are plain checkpoint() calls
         # (0, 0); at least one batch of 256 swept rows must have

@@ -20,7 +20,7 @@ import pytest
 from repro.incremental import IncrementalDetector
 from repro.core import FD
 from repro.datasets import random_relation
-from repro.plan.kernels import KernelCounters
+from repro.plan import KernelCounters
 from repro.server import ReproApp
 from repro.server.http import HttpError, Request
 from repro.server.observability import Histogram, MetricsRegistry
@@ -484,12 +484,6 @@ class TestConcurrency:
             for w in workers:
                 w.join()
         assert errors == []
-
-    def test_counters_reset_race_free(self):
-        counters = KernelCounters()
-        counters.note("x")
-        counters.reset()
-        assert counters.snapshot().by_strategy == {}
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 ``test_plan_parity`` pins the plan kernels to the all-pairs reference
 scans of ``tests/oracles.py``; this suite forces each backend in turn —
-the scalar kernels under ``kernel_backend("scalar")`` and the columnar
-kernels of ``repro.plan.kernels_vec`` under ``kernel_backend("vector")``
-— and drives both to the oracle's violation lists over the same
-hostile value pool (``None``/NaN/bool/int/float/str), plus the edge
+the scalar kernels under ``execution(backend="scalar")`` and the
+columnar kernels of ``repro.plan.kernels_vec`` under
+``execution(backend="vector")`` — and drives both to the oracle's
+violation lists over the same hostile value pool
+(``None``/NaN/bool/int/float/str), plus the edge
 regimes the batch code paths are most likely to get wrong: all-NaN and
 all-``None`` columns, empty and single-row relations, ``restrict=``
 and ``first_only=``.  The guard-plan measures (MD/CMD matches, CD
 confidence, PAC pair counts, NED support) must equal the all-pairs
 guard scan.  Non-vectorizable plans (opaque predicates, string order
 columns, text metrics) must *fall back* to the scalar kernels, which is
-asserted through the backend-aware counters.
+asserted through the backend-aware counters of the scope the check
+ran in.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from repro.core.numerical.od import OD
 from repro.core.numerical.ofd import OFD
 from repro.incremental import Delta
 from repro.plan import (
-    COUNTERS,
     denial_violations,
-    kernel_backend,
     pairwise_violations,
     plan_for,
 )
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from repro.runtime import execution
 
 from . import oracles
 
@@ -100,9 +101,9 @@ def three_way(dep, relation):
     FD keeps its own group scan, with its own pair order and reasons,
     so its reports reduce to violating tuple sets.
     """
-    with kernel_backend("scalar"):
+    with execution(backend="scalar"):
         scalar = snapshot(dep, relation)
-    with kernel_backend("vector"):
+    with execution(backend="vector"):
         vector = snapshot(dep, relation)
     reports = (oracles.violations(dep, relation), scalar, vector)
     if isinstance(dep, FD):
@@ -169,7 +170,7 @@ def test_guard_measures_match_all_pairs_scan(relation):
     for dep, measure, reference in GUARD_MEASURES:
         expected = reference(dep, relation)
         for backend in ("scalar", "vector"):
-            with kernel_backend(backend):
+            with execution(backend=backend):
                 got = measure(dep, relation)
             assert got == expected, (backend, dep.label())
 
@@ -220,7 +221,7 @@ def test_restrict_parity_vectorized(relation, restrict):
     ]
     for dep in pairwise:
         expected = oracles.pair_violations(dep, relation, restrict)
-        with kernel_backend("vector"):
+        with execution(backend="vector"):
             got = [
                 (v.tuples, v.reason)
                 for v in pairwise_violations(dep, relation, restrict=restrict)
@@ -237,7 +238,7 @@ def test_first_only_matches_existence_vectorized(relation):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with kernel_backend("vector"):
+        with execution(backend="vector"):
             first = pairwise_violations(dep, relation, first_only=True)
         assert bool(first) == bool(oracles.pair_violations(dep, relation)), (
             f"first_only divergence for {dep.label()}"
@@ -269,15 +270,15 @@ def test_static_fallback_counter_asserted():
     ]
     for dep in deps:
         assert not plan_for(dep).vector_eligible, dep.label()
-        COUNTERS.reset()
-        with kernel_backend("vector"):
+        with execution(backend="vector") as scope:
             got = snapshot(dep, relation)
+        counters = scope.counters
         assert got == oracles.violations(dep, relation), dep.label()
-        assert COUNTERS.by_strategy, dep.label()
+        assert counters.by_strategy, dep.label()
         assert not any(
-            s.startswith("vec-") for s in COUNTERS.by_strategy
-        ), (dep.label(), COUNTERS.by_strategy)
-        assert COUNTERS.backends().get("scalar"), dep.label()
+            s.startswith("vec-") for s in counters.by_strategy
+        ), (dep.label(), counters.by_strategy)
+        assert counters.backends().get("scalar"), dep.label()
 
 
 def test_dynamic_fallback_string_order_columns():
@@ -291,12 +292,12 @@ def test_dynamic_fallback_string_order_columns():
     )
     dep = OD([("A0", "<=")], [("A1", "<=")])
     assert plan_for(dep).vector_eligible
-    COUNTERS.reset()
-    with kernel_backend("vector"):
+    with execution(backend="vector") as scope:
         got = snapshot(dep, relation)
+    counters = scope.counters
     assert got == oracles.violations(dep, relation)
-    assert not any(s.startswith("vec-") for s in COUNTERS.by_strategy)
-    assert COUNTERS.backends() == {"scalar": COUNTERS.executions}
+    assert not any(s.startswith("vec-") for s in counters.by_strategy)
+    assert counters.backends() == {"scalar": counters.executions}
 
 
 def test_vectorized_counters_recorded():
@@ -304,28 +305,27 @@ def test_vectorized_counters_recorded():
     # and its equality guard selects the group strategy.
     relation = _rows_numeric(32)
     dep = MFD(["A0"], ["A1"], 0.5)
-    COUNTERS.reset()
-    with kernel_backend("vector"):
+    with execution(backend="vector") as scope:
         got = snapshot(dep, relation)
+    counters = scope.counters
     assert got == oracles.violations(dep, relation)
-    assert COUNTERS.by_strategy.get("vec-group")
-    assert COUNTERS.chunks > 0
-    assert COUNTERS.candidates_by_strategy.get("vec-group", 0) > 0
-    assert COUNTERS.verified_by_strategy.get("vec-group", 0) == len(got)
-    assert COUNTERS.backends() == {"vectorized": COUNTERS.executions}
+    assert counters.by_strategy.get("vec-group")
+    assert counters.chunks > 0
+    assert counters.candidates_by_strategy.get("vec-group", 0) > 0
+    assert counters.verified_by_strategy.get("vec-group", 0) == len(got)
+    assert counters.backends() == {"vectorized": counters.executions}
 
 
 def test_pruned_fraction_zero_candidate_guard():
     """No recorded pair space must yield 0.0, not a division error."""
-    COUNTERS.reset()
-    assert COUNTERS.pruned_fraction() == 0.0
     relation = Relation.from_rows(
         Schema([Attribute("A0", AttributeType.NUMERICAL)]), []
     )
     dep = FD(["A0"], ["A0"])
-    with kernel_backend("vector"):
+    with execution(backend="vector") as scope:
+        assert scope.counters.pruned_fraction() == 0.0
         assert snapshot(dep, relation) == []
-    assert COUNTERS.pruned_fraction() == 0.0
+    assert scope.counters.pruned_fraction() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def test_extend_then_check_parity_vector_backend():
 
     warm = Relation.from_rows(schema, head)
     plan = plan_for(dep)
-    with kernel_backend("vector"):
+    with execution(backend="vector"):
         # Warm the sorted projections on the pre-extension relation...
         before = snapshot(dep, warm)
         # ...then extend and re-check through the patched caches.
@@ -408,7 +408,7 @@ def test_apply_delta_insert_only_check_parity_vector_backend():
     dep = DC([pred2("a", "<", "a"), pred2("b", ">=", "b")])
 
     warm = Relation.from_rows(schema, head)
-    with kernel_backend("vector"):
+    with execution(backend="vector"):
         snapshot(dep, warm)  # warm caches
         stepped = warm.apply_delta(
             {"insert": [[1.5, 100.0], [2.5, 0.25]]}
@@ -500,7 +500,7 @@ CARRY_DEPS = [
 
 def _restricted(dep, relation, restrict):
     check = denial_violations if isinstance(dep, DC) else pairwise_violations
-    with kernel_backend("vector"):
+    with execution(backend="vector"):
         return [
             (v.tuples, v.reason)
             for v in check(dep, relation, restrict=restrict)
