@@ -1,7 +1,7 @@
 """Substrate micro-benchmarks: the primitives everything rests on.
 
 Not a paper figure — performance coverage for the building blocks, so
-regressions in the partitions/metrics/indexes show up in the harness.
+regressions in the partitions/metrics show up in the harness.
 
 The ``TestEncodedSpeedup`` block additionally measures the
 dictionary-encoded substrate against the value-tuple reference
@@ -20,7 +20,7 @@ import pytest
 from repro.datasets import fd_workload, random_relation
 from repro.discovery.fastfd import _difference_sets_naive, difference_sets
 from repro.metrics import levenshtein
-from repro.relation import InvertedIndex, SortedIndex, StrippedPartition
+from repro.relation import StrippedPartition
 from tests import oracles
 
 
@@ -67,23 +67,6 @@ def test_levenshtein_bounded_early_exit(benchmark):
     b = "b" * 60
     d = benchmark(lambda: levenshtein(a, b, bound=3))
     assert d == 4  # bound + 1
-
-
-def test_inverted_index_build_and_lookup(benchmark):
-    w = fd_workload(3000, 40, seed=2)
-
-    def build_and_probe():
-        idx = InvertedIndex(w.relation, "code")
-        return idx.lookup(w.relation.value_at(0, "code"))
-
-    hits = benchmark(build_and_probe)
-    assert hits
-
-
-def test_sorted_index_range_query(benchmark, wide):
-    idx = SortedIndex(wide, "A2")
-    hits = benchmark(lambda: idx.in_range(10, 30))
-    assert all(10 <= wide.value_at(i, "A2") <= 30 for i in hits)
 
 
 # -- encoded-vs-naive speedup contract ----------------------------------------

@@ -14,22 +14,18 @@ al.) and FASTDC's predicate-space analysis (Chu et al.).  Three layers:
   plans that the kernels then execute
   (:mod:`~repro.analysis.simplify`);
 * **cross-rule analysis** — pairwise implication via family-tree
-  embeddings, duplicate detection, conflicts, and a minimal cover
+  embeddings, duplicate detection and conflicts
   (:mod:`~repro.analysis.cross_rule`).
 
 Every finding is a structured :class:`~repro.analysis.diagnostics.Diagnostic`
 with a stable ``DD0xx`` code; the CLI surface is ``repro lint``.
+:func:`screen_rules` is the one skip decision every evaluation path
+takes (trivial, duplicate and implied rules), behind a fail-fast gate
+for strictly unsatisfiable rules.
 """
 
-from .cross_rule import analyze_rule_set, minimal_cover_entries
 from .diagnostics import CODES, Diagnostic, Severity
-from .linter import (
-    LintReport,
-    lint_entries,
-    lint_rules,
-    screen_rules,
-    skippable_rules,
-)
+from .linter import LintReport, lint_entries, lint_rules, screen_rules
 from .simplify import simplify_plan
 
 __all__ = [
@@ -37,11 +33,8 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "Severity",
-    "analyze_rule_set",
     "lint_entries",
     "lint_rules",
-    "minimal_cover_entries",
     "screen_rules",
     "simplify_plan",
-    "skippable_rules",
 ]

@@ -20,16 +20,17 @@ implication tests between rules of a mixed-notation rule set:
 Deliberately *not* implied (unsound): MD ⇒ FD (NaN distances escape),
 DC ⇒ FD (NULL semantics differ), SD ⇒ OD (SDs skip NULL rows).
 
-Outputs are :class:`~repro.analysis.diagnostics.Diagnostic` findings —
-DD007 implied-rule, DD008 duplicate-rule, DD009 conflicting-rules —
-plus :func:`minimal_cover_entries`, the rule set with duplicates and
-implied rules removed (a greedy descending cover: later rules are
-dropped first, so the surviving set keeps the earliest declarations).
+:func:`_redundant_rules` is the one decision of which rules evaluation
+may skip: trivial rules, duplicates and implied rules, with their
+witnesses.  :func:`repro.analysis.screen_rules` hands it to every
+evaluation path, and ``repro lint`` reports the same findings as DD004,
+DD008 and DD007.  :func:`conflicts` adds the DD009 findings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..core.base import Dependency
 from ..core.categorical.afd import AFD
@@ -42,13 +43,7 @@ from ..core.implication import implies as fd_implies
 from ..core.numerical.od import OD, MarkedAttribute
 from ..core.numerical.sd import SD
 from ..rules_io import RuleEntry
-from .diagnostics import (
-    CONFLICTING_RULES,
-    DUPLICATE_RULE,
-    IMPLIED_RULE,
-    Diagnostic,
-    make,
-)
+from .diagnostics import CONFLICTING_RULES, Diagnostic, make
 
 #: mark m1 implies mark m2: every pair ordered by m1 is ordered by m2.
 _MARK_IMPLIES: dict[str, tuple[str, ...]] = {
@@ -137,11 +132,11 @@ def _implies_pairwise(a: Dependency, b: Dependency) -> bool:
 
 def _implied_by_set(
     index: int,
-    entries: Sequence[RuleEntry],
+    rules: Sequence[Dependency],
     active: set[int],
 ) -> tuple[int, ...] | None:
     """Witness indices when rule ``index`` is implied by the others."""
-    target = entries[index].dependency
+    target = rules[index]
 
     target_fd: FD | None = _as_fd(target)
     if target_fd is None and type(target) is AFD:
@@ -154,7 +149,7 @@ def _implied_by_set(
         for j in active:
             if j == index:
                 continue
-            fd = _as_fd(entries[j].dependency)
+            fd = _as_fd(rules[j])
             if fd is not None:
                 pool.append((j, fd))
         if pool and fd_implies([fd for _, fd in pool], target_fd):
@@ -166,7 +161,7 @@ def _implied_by_set(
     for j in active:
         if j == index:
             continue
-        if _implies_pairwise(entries[j].dependency, target):
+        if _implies_pairwise(rules[j], target):
             return (j,)
     return None
 
@@ -253,49 +248,12 @@ def _conflict(a: Dependency, b: Dependency) -> str | None:
     return None
 
 
-def analyze_rule_set(entries: Sequence[RuleEntry]) -> list[Diagnostic]:
-    """DD007/DD008/DD009 findings over a whole rule set."""
+def conflicts(entries: Sequence[RuleEntry]) -> list[Diagnostic]:
+    """DD009 findings: pairs of rules that cannot both hold.
+
+    Both orientations of each pair are checked.
+    """
     diagnostics: list[Diagnostic] = []
-
-    # DD008: exact duplicates (the later declaration is the finding).
-    duplicate_of: dict[int, int] = {}
-    for i, entry in enumerate(entries):
-        for j in range(i):
-            if j in duplicate_of:
-                continue
-            if _is_duplicate(entries[j].dependency, entry.dependency):
-                duplicate_of[i] = j
-                diagnostics.append(
-                    make(
-                        DUPLICATE_RULE,
-                        entry.name,
-                        f"duplicates rule {entries[j].name!r}",
-                        location=entry.location,
-                        related=(entries[j].location,),
-                    )
-                )
-                break
-
-    # DD007: greedy descending minimal cover over the non-duplicates.
-    implied = implied_indices(entries, exclude=set(duplicate_of))
-    for i, witnesses in sorted(implied.items()):
-        names = [entries[j].name for j in witnesses]
-        diagnostics.append(
-            make(
-                IMPLIED_RULE,
-                entries[i].name,
-                "implied by "
-                + (
-                    f"rule {names[0]!r}"
-                    if len(names) == 1
-                    else f"the rules {', '.join(repr(n) for n in names)}"
-                ),
-                location=entries[i].location,
-                related=tuple(entries[j].location for j in witnesses),
-            )
-        )
-
-    # DD009: pairwise conflicts (both orientations checked).
     for i, entry in enumerate(entries):
         for j in range(i):
             reason = _conflict(entries[j].dependency, entry.dependency)
@@ -315,39 +273,101 @@ def analyze_rule_set(entries: Sequence[RuleEntry]) -> list[Diagnostic]:
     return diagnostics
 
 
-def implied_indices(
-    entries: Sequence[RuleEntry],
-    exclude: set[int] | None = None,
-) -> dict[int, tuple[int, ...]]:
-    """index -> witness indices for rules implied by the remaining set.
+def _trivial_reason(dep: Dependency) -> str | None:
+    """A reason the rule holds on *every* relation, else None."""
+    if isinstance(dep, AFD) and dep.embedded.is_trivial():
+        # A trivial embedded FD has g3 error 0 <= any max_error.  (The
+        # same is NOT sound for MFDs: d(v, v) = 0 is a metric axiom an
+        # arbitrary user-supplied distance need not satisfy.)
+        return (
+            f"embedded FD is trivial (RHS {list(dep.rhs)} ⊆ LHS "
+            f"{list(dep.lhs)})"
+        )
+    if isinstance(dep, FD) and dep.is_trivial():
+        return f"RHS {list(dep.rhs)} ⊆ LHS {list(dep.lhs)}"
+    if isinstance(dep, CFD):
+        if set(dep.rhs) <= set(dep.lhs) and dep.is_variable_cfd():
+            return (
+                f"RHS {list(dep.rhs)} ⊆ LHS {list(dep.lhs)} with a "
+                "wildcard RHS pattern"
+            )
+        return None
+    if isinstance(dep, DD):
+        ranges = dep.rhs.ranges
+        if all(
+            a in dep.lhs.ranges and iv.subsumes(dep.lhs.ranges[a])
+            for a, iv in ranges.items()
+        ):
+            return "every RHS range contains its LHS range"
+        return None
+    if isinstance(dep, OD):
+        lhs_marks = {m.attribute: m.mark for m in dep.lhs}
+        if all(
+            m.attribute in lhs_marks
+            and _mark_implies(lhs_marks[m.attribute], m.mark)
+            for m in dep.rhs
+        ):
+            return "every RHS mark is implied by the same LHS mark"
+        return None
+    return None
 
-    Greedy descending pass: try to drop the *latest* rule first, then
-    re-test earlier ones against the shrunken set, so mutual-implication
-    groups keep their earliest member and the result is a cover (the
-    surviving rules still imply everything dropped).
+
+@dataclass(frozen=True)
+class Redundancy:
+    """The rules of a set that add nothing to it, and their witnesses.
+
+    A rule can qualify more than once (a trivial rule may also be a
+    duplicate); :meth:`skips` labels it by the first of trivial,
+    duplicate, implied.
     """
-    exclude = exclude or set()
-    active = {i for i in range(len(entries)) if i not in exclude}
-    witnesses: dict[int, tuple[int, ...]] = {}
-    for i in sorted(active, reverse=True):
-        found = _implied_by_set(i, entries, active)
-        if found is not None:
-            witnesses[i] = found
-            active.discard(i)
-    return witnesses
+
+    #: index -> why the rule holds on every relation (DD004).
+    trivial: dict[int, str]
+    #: index -> the earlier rule it duplicates (DD008), over all rules.
+    duplicate_of: dict[int, int]
+    #: index -> the rules implying it (DD007), over the non-duplicates.
+    implied_by: dict[int, tuple[int, ...]]
+
+    def skips(self) -> dict[int, str]:
+        """index -> reason, for every rule evaluation may skip."""
+        out = dict.fromkeys(self.trivial, "trivial")
+        for i in self.duplicate_of:
+            out.setdefault(i, "duplicate")
+        for i in self.implied_by:
+            out.setdefault(i, "implied")
+        return dict(sorted(out.items()))
 
 
-def minimal_cover_entries(
-    entries: Sequence[RuleEntry],
-) -> list[RuleEntry]:
-    """The rule set with duplicates and implied rules removed."""
-    drop: set[int] = set()
-    for i, entry in enumerate(entries):
+def _redundant_rules(rules: Sequence[Dependency]) -> Redundancy:
+    """Decide which rules evaluation may skip, and why.
+
+    Skipping is sound: whenever every kept rule holds, so does every
+    skipped one.  A trivial rule holds on every relation; a duplicate
+    holds whenever its (earlier, never itself duplicate) original
+    does; an implied rule holds whenever its witnesses do.
+    """
+    trivial: dict[int, str] = {}
+    for i, dep in enumerate(rules):
+        why = _trivial_reason(dep)
+        if why is not None:
+            trivial[i] = why
+
+    duplicate_of: dict[int, int] = {}
+    for i, dep in enumerate(rules):
         for j in range(i):
-            if j not in drop and _is_duplicate(
-                entries[j].dependency, entry.dependency
-            ):
-                drop.add(i)
+            if j not in duplicate_of and _is_duplicate(rules[j], dep):
+                duplicate_of[i] = j
                 break
-    drop.update(implied_indices(entries, exclude=drop))
-    return [e for i, e in enumerate(entries) if i not in drop]
+
+    # Greedy descending pass: try to drop the *latest* rule first, then
+    # re-test earlier ones against the shrunken set, so mutual-
+    # implication groups keep their earliest member and the result is a
+    # cover (the surviving rules still imply everything dropped).
+    active = {i for i in range(len(rules)) if i not in duplicate_of}
+    implied_by: dict[int, tuple[int, ...]] = {}
+    for i in sorted(active, reverse=True):
+        found = _implied_by_set(i, rules, active)
+        if found is not None:
+            implied_by[i] = found
+            active.discard(i)
+    return Redundancy(trivial, duplicate_of, dict(sorted(implied_by.items())))

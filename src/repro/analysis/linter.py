@@ -16,10 +16,11 @@ dependencies):
 3. **cross-rule analysis** — DD007 implied, DD008 duplicate, DD009
    conflicting (:mod:`repro.analysis.cross_rule`).
 
-The report keeps enough structure for every consumer: the CLI renders
-``diagnostics`` and exits non-zero on errors, ``repro lint --fix``
-writes :meth:`LintReport.minimized` back out, and the check/watch
-paths skip the rules in :attr:`LintReport.skippable`.
+DD004, DD007 and DD008 report the skip decision that every evaluation
+path takes through :func:`screen_rules` — ``repro check``, ``repro
+watch``, the server's rule install and the discovery job's minimize
+stage.  ``repro lint --fix`` writes :meth:`LintReport.minimized` back
+out: the rule set without those rules and without DD003 rules.
 """
 
 from __future__ import annotations
@@ -29,19 +30,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.base import Dependency
-from ..core.categorical.afd import AFD
-from ..core.categorical.cfd import CFD
-from ..core.categorical.fd import FD
-from ..core.heterogeneous.dd import DD
-from ..core.numerical.od import OD
 from ..plan.compile import compile_dependency
 from ..plan.ir import PlanCompileError
 from ..relation.schema import Schema
 from ..rules_io import RuleEntry
-from .cross_rule import _mark_implies, analyze_rule_set, implied_indices
+from .cross_rule import _redundant_rules, conflicts
 from .diagnostics import (
     DEAD_ATOM,
     DEAD_CLAUSE,
+    DUPLICATE_RULE,
+    IMPLIED_RULE,
     TRIVIAL_RULE,
     UNSATISFIABLE_RULE,
     Diagnostic,
@@ -52,53 +50,15 @@ from .satisfy import analyze_plan
 from .schema_check import check_schema
 
 
-def _trivial_reason(dep: Dependency) -> str | None:
-    """A reason the rule holds on *every* relation, else None."""
-    if isinstance(dep, AFD) and dep.embedded.is_trivial():
-        # A trivial embedded FD has g3 error 0 <= any max_error.  (The
-        # same is NOT sound for MFDs: d(v, v) = 0 is a metric axiom an
-        # arbitrary user-supplied distance need not satisfy.)
-        return (
-            f"embedded FD is trivial (RHS {list(dep.rhs)} ⊆ LHS "
-            f"{list(dep.lhs)})"
-        )
-    if isinstance(dep, FD) and dep.is_trivial():
-        return f"RHS {list(dep.rhs)} ⊆ LHS {list(dep.lhs)}"
-    if isinstance(dep, CFD):
-        if set(dep.rhs) <= set(dep.lhs) and dep.is_variable_cfd():
-            return (
-                f"RHS {list(dep.rhs)} ⊆ LHS {list(dep.lhs)} with a "
-                "wildcard RHS pattern"
-            )
-        return None
-    if isinstance(dep, DD):
-        ranges = dep.rhs.ranges
-        if all(
-            a in dep.lhs.ranges and iv.subsumes(dep.lhs.ranges[a])
-            for a, iv in ranges.items()
-        ):
-            return "every RHS range contains its LHS range"
-        return None
-    if isinstance(dep, OD):
-        lhs_marks = {m.attribute: m.mark for m in dep.lhs}
-        if all(
-            m.attribute in lhs_marks
-            and _mark_implies(lhs_marks[m.attribute], m.mark)
-            for m in dep.rhs
-        ):
-            return "every RHS mark is implied by the same LHS mark"
-        return None
-    return None
-
-
 @dataclass
 class LintReport:
     """Everything the static analyzer found about one rule set."""
 
     entries: list[RuleEntry]
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Entry indices that evaluation may skip: unsatisfiable (can never
-    #: fire), trivial (never violated), duplicates, and implied rules.
+    #: Entry index -> reason for the rules ``--fix`` drops: the skip
+    #: decision's trivial, duplicate and implied rules, plus DD003
+    #: unsatisfiable ones.  Evaluation screens with screen_rules.
     skippable: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -132,6 +92,8 @@ def lint_entries(
 ) -> LintReport:
     """Run every static check over a parsed rule set."""
     report = LintReport(entries=list(entries))
+    redundancy = _redundant_rules([e.dependency for e in entries])
+    unsatisfiable: dict[int, str] = {}
 
     for index, entry in enumerate(entries):
         dep = entry.dependency
@@ -142,7 +104,7 @@ def lint_entries(
                 )
             )
 
-        trivial = _trivial_reason(dep)
+        trivial = redundancy.trivial.get(index)
         if trivial is not None:
             report.diagnostics.append(
                 make(
@@ -152,7 +114,6 @@ def lint_entries(
                     location=entry.location,
                 )
             )
-            report.skippable.setdefault(index, "trivial")
             continue
 
         try:
@@ -172,7 +133,7 @@ def lint_entries(
                     location=entry.location,
                 )
             )
-            report.skippable.setdefault(index, "unsatisfiable")
+            unsatisfiable[index] = "unsatisfiable"
             continue
         for clause_idx, f in enumerate(facts):
             if f.dead:
@@ -198,17 +159,35 @@ def lint_entries(
                         )
                     )
 
-    cross = analyze_rule_set(entries)
-    report.diagnostics.extend(cross)
-    by_location = {e.location: i for i, e in enumerate(entries)}
-    for diag in cross:
-        index = by_location.get(diag.location)
-        if index is None:
-            continue
-        if diag.code == "DD008":
-            report.skippable.setdefault(index, "duplicate")
-        elif diag.code == "DD007":
-            report.skippable.setdefault(index, "implied")
+    for i, j in redundancy.duplicate_of.items():
+        report.diagnostics.append(
+            make(
+                DUPLICATE_RULE,
+                entries[i].name,
+                f"duplicates rule {entries[j].name!r}",
+                location=entries[i].location,
+                related=(entries[j].location,),
+            )
+        )
+    for i, witnesses in redundancy.implied_by.items():
+        names = [entries[j].name for j in witnesses]
+        report.diagnostics.append(
+            make(
+                IMPLIED_RULE,
+                entries[i].name,
+                "implied by "
+                + (
+                    f"rule {names[0]!r}"
+                    if len(names) == 1
+                    else f"the rules {', '.join(repr(n) for n in names)}"
+                ),
+                location=entries[i].location,
+                related=tuple(entries[j].location for j in witnesses),
+            )
+        )
+    report.diagnostics.extend(conflicts(entries))
+    # A trivial rule is never DD003, and DD003 outranks the rest.
+    report.skippable = redundancy.skips() | unsatisfiable
     return report
 
 
@@ -227,46 +206,27 @@ def lint_rules(
     return lint_entries(entries, schema=schema)
 
 
-def skippable_rules(
-    rules: Sequence[Dependency],
-) -> dict[int, str]:
-    """Indices of rules evaluation may skip, with the reason.
-
-    The fast path for check/watch wiring (opt-in there): triviality
-    and implication facts only — no plan analysis, no schema.  A
-    *trivial* rule provably has no violations on any relation; an
-    *implied* rule cannot change the pass/fail verdict (whenever the
-    implying rules hold it holds too), though its own violation
-    listing is suppressed when the implying rule is violated — which
-    is why the callers expose this as an explicit option and report
-    the skip in their stats.
-    """
-    entries = [
-        RuleEntry(dependency=dep, raw={"kind": dep.kind}, index=i)
-        for i, dep in enumerate(rules)
-    ]
-    out: dict[int, str] = {}
-    for i, entry in enumerate(entries):
-        if _trivial_reason(entry.dependency) is not None:
-            out[i] = "trivial"
-    exclude = set(out)
-    for i in implied_indices(entries, exclude=exclude):
-        out[i] = "implied"
-    return out
-
-
 def screen_rules(rules: Sequence[Dependency]) -> dict[int, str]:
-    """The pre-evaluation gate for check/watch: fail fast or skip.
+    """The pre-evaluation screen: fail fast, then the skip decision.
 
-    Raises :class:`~repro.runtime.errors.InputError` for any rule whose
+    Every evaluation path takes its skip set from here: ``repro
+    check``, ``repro watch``, the server's rule install (upload and WAL
+    replay) and the discovery job's minimize stage.  Returns index ->
+    reason (``trivial``, ``duplicate`` or ``implied``) for the rules
+    evaluation may skip, after raising
+    :class:`~repro.runtime.errors.InputError` for any kept rule whose
     compiled plan is *strictly* unsatisfiable (dead on every relation —
     the rule can never report a violation, which is virtually always a
-    declaration mistake), then returns :func:`skippable_rules` for the
-    rest.  Run ``repro lint`` on the rule file for the full diagnosis.
+    declaration mistake).  Run ``repro lint`` on the rule file for the
+    full diagnosis.
+
+    A skipped rule holds whenever the kept rules hold, so the pass/fail
+    verdict is unchanged; only a skipped rule's own violation listing
+    is not produced (``--no-analyze`` restores it on the CLI).
     """
     from ..runtime.errors import InputError
 
-    skip = skippable_rules(rules)
+    skip = _redundant_rules(rules).skips()
     for i, dep in enumerate(rules):
         if i in skip:
             continue

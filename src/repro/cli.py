@@ -146,6 +146,19 @@ def _gather_rules(args: argparse.Namespace) -> list:
     return rules
 
 
+def _screen(args: argparse.Namespace, rules: list) -> dict[int, str]:
+    """Index -> reason for the rules the static screen skips.
+
+    Raises InputError (exit 2 via main) on unsatisfiable rules; skips
+    nothing under ``--no-analyze``.
+    """
+    if getattr(args, "no_analyze", False):
+        return {}
+    from .analysis import screen_rules
+
+    return screen_rules(rules)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     from .rules_io import RuleFileError
 
@@ -158,12 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("[error] nothing to check: give --fd and/or --rules")
         return 2
     relation = load_relation(args.csv, args.numerical, args.text)
-    skipped: dict[int, str] = {}
-    if not getattr(args, "no_analyze", False):
-        from .analysis import screen_rules
-
-        # Raises InputError (exit 2 via main) on unsatisfiable rules.
-        skipped = screen_rules(rules)
+    skipped = _screen(args, rules)
     exit_code = 0
     budget = _budget_from_args(args)
     checked = 0
@@ -220,17 +228,18 @@ def cmd_watch(args: argparse.Namespace) -> int:
             print(f"[error] {dep}: {exc}")
             return 2
 
-    # Raises InputError (exit 2 via main) on unsatisfiable rules.
+    skipped = _screen(args, rules)
+    for idx, why in skipped.items():
+        print(f"[skip] {rules[idx].label()}: statically {why}")
     detector = IncrementalDetector(
-        rules, relation, analyze=not getattr(args, "no_analyze", False)
+        [dep for idx, dep in enumerate(rules) if idx not in skipped],
+        relation,
     )
-    for label, why in detector.skipped_rules.items():
-        print(f"[skip] {label}: statically {why}")
     print(
         f"watching {args.csv}: {len(relation)} rows, {len(rules)} rules"
         + (
-            f" ({len(detector.skipped_rules)} skipped by static analysis)"
-            if detector.skipped_rules
+            f" ({len(skipped)} skipped by static analysis)"
+            if skipped
             else ""
         )
         + f", {len(detector.violations())} initial violations"
@@ -498,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--text", action="append", default=[])
     p_check.add_argument(
         "--no-analyze", action="store_true", dest="no_analyze",
-        help="skip the static pre-screen (implied-rule skipping and the "
-        "unsatisfiable-rule gate)",
+        help="skip the static pre-screen (trivial, duplicate and implied "
+        "rule skipping and the unsatisfiable-rule gate)",
     )
     add_budget_args(p_check)
     add_workers_arg(p_check)
@@ -523,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--text", action="append", default=[])
     p_watch.add_argument(
         "--no-analyze", action="store_true", dest="no_analyze",
-        help="skip the static pre-screen (implied-rule skipping and the "
-        "unsatisfiable-rule gate)",
+        help="skip the static pre-screen (trivial, duplicate and implied "
+        "rule skipping and the unsatisfiable-rule gate)",
     )
     add_budget_args(p_watch)
     p_watch.set_defaults(func=cmd_watch)

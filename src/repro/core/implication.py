@@ -144,9 +144,3 @@ def armstrong_relation(
         )
     return Relation.from_rows(Schema(names), rows)
 
-
-def satisfied_fds(relation: Relation) -> list[FD]:
-    """All minimal single-RHS FDs holding on a relation (via TANE)."""
-    from ..discovery.tane import tane
-
-    return list(tane(relation).dependencies)

@@ -90,22 +90,6 @@ class DiscoveryResult:
         return text
 
 
-def violation_evidence(dep, relation) -> set[tuple[int, int]]:
-    """The violating (i, j) pairs of a pairwise candidate.
-
-    Single evidence-collection seam for discovery algorithms (FASTDC
-    cover verification, DD/MD threshold sweeps): routes through the
-    candidate's compiled plan so the kernels prune the pair space and
-    charge the budget for the pairs actually examined.
-    """
-    from ..plan import pairwise_violations
-
-    return {
-        (v.tuples[0], v.tuples[1])
-        for v in pairwise_violations(dep, relation)
-    }
-
-
 def match_evidence(rule, relation) -> set[tuple[int, int]]:
     """The LHS-selected (i, j) pairs of a matching-style rule.
 

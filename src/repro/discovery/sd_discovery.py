@@ -18,7 +18,6 @@ Two pieces, matching Section 4.4:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..core.heterogeneous.constraints import Interval
 from ..core.numerical import CSD, SD
@@ -29,37 +28,6 @@ from .common import DiscoveryResult, DiscoveryStats
 def sd_confidence(relation: Relation, sd: SD) -> float:
     """Confidence of an SD on a relation (longest-valid-run based)."""
     return sd.confidence(relation)
-
-
-@dataclass
-class IntervalCandidate:
-    """A candidate tableau interval with its statistics."""
-
-    interval: Interval
-    tuple_count: int
-    confidence: float
-
-
-def candidate_intervals(
-    relation: Relation, sd: SD, min_width: int = 2
-) -> list[IntervalCandidate]:
-    """All contiguous runs of the X-order as candidate intervals.
-
-    Candidates are [x_a, x_b] spans between observed X-values with at
-    least ``min_width`` tuples, evaluated for SD confidence inside.
-    """
-    order = sd.sorted_indices(relation)
-    xs = [float(relation.values_at(i, sd.lhs)[0]) for i in order]
-    out: list[IntervalCandidate] = []
-    n = len(order)
-    for a in range(n):
-        for b in range(a + min_width - 1, n):
-            iv = Interval(xs[a], xs[b])
-            sub = relation.take(order[a: b + 1])
-            out.append(
-                IntervalCandidate(iv, b - a + 1, sd.confidence(sub))
-            )
-    return out
 
 
 def discover_csd_tableau(

@@ -102,42 +102,18 @@ class IncrementalDetector:
     mid-apply snapshot.
     """
 
-    def __init__(
-        self,
-        rules: Iterable,
-        relation: Relation,
-        *,
-        analyze: bool = False,
-    ) -> None:
-        """Wrap ``rules`` over ``relation``.
+    def __init__(self, rules: Iterable, relation: Relation) -> None:
+        """Wrap ``rules`` over ``relation``, one checker per rule.
 
-        With ``analyze=True`` the static analyzer screens the rule set
-        first: statically unsatisfiable rules raise
-        :class:`~repro.runtime.errors.InputError` up front, and rules
-        that are trivial or implied by the rest of the set are not
-        given checkers — they are recorded in :attr:`skipped_rules`
-        instead.  The default is off because skipping an implied rule
-        suppresses its own violation listing whenever the implying
-        rule is itself violated (the cumulative-state-equals-cold-
-        detector parity contract only holds rule-for-rule without it).
+        Every rule gets a checker: screening a rule set (the skip
+        decision of :func:`repro.analysis.screen_rules`) is the
+        caller's step, as ``repro watch`` and the server's rule install
+        do before they build a detector over the rules they keep.
         """
         self.rules = list(rules)
         self._relation = relation
-        #: Rule label -> reason, for rules the analyzer screened out.
-        self.skipped_rules: dict[str, str] = {}
-        active = self.rules
-        if analyze:
-            from ..analysis import screen_rules
-
-            skip = screen_rules(self.rules)
-            self.skipped_rules = {
-                self.rules[i].label(): why for i, why in skip.items()
-            }
-            active = [
-                r for i, r in enumerate(self.rules) if i not in skip
-            ]
         self._checkers: list[IncrementalChecker] = [
-            checker_for(rule, relation) for rule in active
+            checker_for(rule, relation) for rule in self.rules
         ]
         self.history: list[BatchChange] = []
         #: (seq, rule label, error) for every quarantined checker fault.

@@ -1,10 +1,11 @@
-"""Relational substrate: schemas, relation instances, partitions, indexes.
+"""Relational substrate: schemas, relation instances, partitions, encodings.
 
 Everything in the dependency family tree is evaluated against the
 :class:`~repro.relation.relation.Relation` defined here — a small,
 immutable, column-oriented relation instance with exactly the access
 paths the survey's algorithms require (grouping, stripped partitions,
-sorted/inverted indexes, projection/join for MVD semantics).
+dictionary-encoded columns and sorted projections, projection/join
+for MVD semantics).
 """
 
 from .schema import Attribute, AttributeType, Schema, SchemaError, as_attribute_names
@@ -12,7 +13,6 @@ from .relation import Relation
 from .encoding import HAS_NUMPY, RelationEncoding
 from .partition import StrippedPartition
 from .partition_cache import CacheStats, PartitionCache, cache_for
-from .index import InvertedIndex, SortedIndex, build_indexes
 from .io import read_csv, read_csv_text, to_csv_text, write_csv
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
     "PartitionCache",
     "cache_for",
     "StrippedPartition",
-    "InvertedIndex",
-    "SortedIndex",
-    "build_indexes",
     "read_csv",
     "read_csv_text",
     "to_csv_text",

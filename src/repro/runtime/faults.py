@@ -64,11 +64,6 @@ def arm_crash_point(site: str, after: int = 1) -> None:
     _crash_armed[site] = after
 
 
-def disarm_crash_points() -> None:
-    """Disarm every crash point (tests clean up with this)."""
-    _crash_armed.clear()
-
-
 def _load_crash_env() -> None:
     """Arm crash points from ``REPRO_CRASH_POINT=site[:after][,...]``."""
     global _crash_env_loaded

@@ -457,7 +457,7 @@ def _tenant_from_snapshot(
 
 
 def _apply_rules_record(tenant: Tenant, record: dict[str, Any]) -> str:
-    """Replay one accepted rule upload: lint-screen and rebuild.
+    """Replay one accepted rule upload: lint, screen and rebuild.
 
     The upload was lint-screened when first accepted and the screen is
     deterministic, so replay reuses the same path; if it somehow fails
@@ -474,7 +474,7 @@ def _apply_rules_record(tenant: Tenant, record: dict[str, Any]) -> str:
             raise ValueError(
                 "rule set no longer passes the lint screen"
             )
-        tenant.install_rules(entries, report.skippable, payload)
+        tenant.install_rules(entries, payload)
         return ""
     # staticcheck: disable=SC008 — recovery boundary: one bad WAL
     # record becomes a warning so the remaining records still replay;

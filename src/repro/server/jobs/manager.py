@@ -33,7 +33,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...analysis import lint_rules
+from ...analysis import screen_rules
+# Kept only for benchmarks/e2e/tracer.py, which wraps this module's
+# ``lint_rules`` by name; the job does not call it.
+from ...analysis import lint_rules  # noqa: F401
 from ...profiler import profile_relation
 from ...quality.detection import Detector
 from ...quality.repair import repair_fds
@@ -300,10 +303,11 @@ class JobManager:
     def _run_discovery(self, job: Job, tenant: Tenant) -> dict[str, Any]:
         """Profile the tenant's current relation, then minimize.
 
-        Stage 1 runs the multi-pass discovery toolbox; stage 2 runs the
-        static cross-rule analysis over the discovered set, yielding
-        the implied/duplicate-free minimal cover.  Each stage gets its
-        own child budget.
+        Stage 1 runs the multi-pass discovery toolbox; stage 2 screens
+        the discovered set with :func:`~repro.analysis.screen_rules`,
+        the skip decision every evaluation path takes, yielding the
+        trivial/duplicate/implied-free minimal cover.  Each stage gets
+        its own child budget.
         """
         detector = tenant.detector
         relation = detector.relation if detector else tenant.relation
@@ -324,25 +328,25 @@ class JobManager:
         def minimize(child: Budget) -> dict[int, str]:
             try:
                 with governed(child):
-                    return lint_rules(discovered).skippable
+                    return screen_rules(discovered)
             except BudgetExhausted:
                 return {}
 
-        skippable = self._stage(job, "minimize", 1.0, minimize)
+        redundant = self._stage(job, "minimize", 1.0, minimize)
         rules_payload = [
             {
                 "category": r.category,
                 "rule": str(r.rule),
                 "kind": r.rule.kind,
                 "violations": r.violations,
-                "redundant": skippable.get(i),
+                "redundant": redundant.get(i),
             }
             for i, r in enumerate(report.rules)
         ]
         return {
             "rows_profiled": len(relation),
             "rules": rules_payload,
-            "minimal_cover_size": len(report.rules) - len(skippable),
+            "minimal_cover_size": len(report.rules) - len(redundant),
             "notes": report.notes,
         }
 

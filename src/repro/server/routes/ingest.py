@@ -176,9 +176,9 @@ async def sync_check(app: "ReproApp", request: Request) -> Response:
             relation = Relation.empty(tenant.schema).extend(
                 _coerce_rows(tenant.schema, rows)
             )
-        skipped = set(tenant.skipped_rules)
+        skipped = tenant.skipped
         active = [
-            e for e in tenant.rule_entries if e.name not in skipped
+            e for i, e in enumerate(tenant.rule_entries) if i not in skipped
         ]
         results: list[dict[str, Any]] = []
         total = 0
@@ -215,7 +215,7 @@ async def sync_check(app: "ReproApp", request: Request) -> Response:
             "tenant": tenant.tenant_id,
             "rows": len(relation),
             "rules_checked": len(results),
-            "rules_skipped": dict(tenant.skipped_rules),
+            "rules_skipped": tenant.skipped_rules,
             "total_violations": total,
             "results": results,
             "complete": not exhausted,

@@ -7,9 +7,11 @@ analyzer against the tenant's declared schema, and any error-severity
 diagnostic (unknown attribute DD001, statically unsatisfiable DD003,
 conflicting rules DD009) **rejects the upload** with the diagnostics —
 DD codes and all — in the error body.  Warning-level findings are
-returned but do not block; statically skippable rules (trivial,
-duplicate, implied) get no checker and are reported as skipped,
-mirroring ``repro check``'s pre-screen.
+returned but do not block.  The accepted set installs through
+:meth:`~repro.server.state.Tenant.install_rules`, which screens it with
+:func:`repro.analysis.screen_rules`, the same screen as ``repro check``:
+trivial, duplicate and implied rules get no checker, are reported as
+skipped, and sync ``/check`` skips the same rules.
 
 A successful upload (re)builds the tenant's
 :class:`~repro.incremental.detector.IncrementalDetector` over the
@@ -81,9 +83,7 @@ async def upload(app: "ReproApp", request: Request) -> Response:
             # exactly the uploads that were acknowledged.
             if app.durability is not None:
                 app.durability.log_rules(tenant, payload)
-            accepted = tenant.install_rules(
-                entries, report.skippable, payload
-            )
+            accepted = tenant.install_rules(entries, payload)
             skipped = tenant.skipped_rules
         app.guards.breaker.drop_tenant(tenant.tenant_id)
         app.note_rule_gauges(tenant)
@@ -117,9 +117,9 @@ async def get_rules(app: "ReproApp", request: Request) -> Response:
                     "id": e.rule_id,
                     "kind": e.dependency.kind,
                     "rule": str(e.dependency),
-                    "skipped": tenant.skipped_rules.get(e.name),
+                    "skipped": tenant.skipped.get(i),
                 }
-                for e in tenant.rule_entries
+                for i, e in enumerate(tenant.rule_entries)
             ],
         }
     )

@@ -14,10 +14,10 @@ from __future__ import annotations
 import re
 import threading
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..analysis import screen_rules
 from ..incremental import IncrementalDetector
 from ..relation import Attribute, AttributeType, Relation, Schema
 from ..rules_io import RuleEntry
@@ -82,8 +82,8 @@ class Tenant:
     created_at: float = field(default_factory=time.time)
     #: Uploaded rule entries (with source metadata), post-lint.
     rule_entries: list[RuleEntry] = field(default_factory=list)
-    #: Rule label -> reason for rules the static screen skipped.
-    skipped_rules: dict[str, str] = field(default_factory=dict)
+    #: Entry index -> reason for rules the static screen skipped.
+    skipped: dict[int, str] = field(default_factory=dict)
     #: The raw accepted upload document (replayed verbatim on recovery).
     rules_payload: Any = None
     detector: IncrementalDetector | None = None
@@ -92,34 +92,35 @@ class Tenant:
     batches_ingested: int = 0
     rows_ingested: int = 0
 
-    def install_rules(
-        self,
-        entries: list[RuleEntry],
-        skippable: Mapping[int, str],
-        payload: Any,
-    ) -> int:
-        """Install a lint-screened rule set; returns the active count.
+    def install_rules(self, entries: list[RuleEntry], payload: Any) -> int:
+        """Screen and install an accepted rule set; returns the active count.
 
-        Rules the screen found skippable (trivial, duplicate, implied)
-        get no checker.  The new detector runs over the tenant's
-        current relation, so rules hot-swap mid-stream.  Live uploads
-        and WAL replay both install through here, so recovery rebuilds
-        exactly what the upload built.
+        Rules :func:`~repro.analysis.screen_rules` skips (trivial,
+        duplicate, implied) get no checker.  The new detector runs over
+        the tenant's current relation, so rules hot-swap mid-stream.
+        Live uploads and WAL replay both install through here, so
+        recovery rebuilds exactly what the upload built.
         """
-        self.skipped_rules = {
-            entries[i].name: why for i, why in skippable.items()
-        }
-        active = [
-            e.dependency
-            for i, e in enumerate(entries)
-            if i not in skippable
-        ]
+        rules = [e.dependency for e in entries]
+        skipped = screen_rules(rules)
+        active = [dep for i, dep in enumerate(rules) if i not in skipped]
         if self.detector is not None:
             self.relation = self.detector.relation
         self.rule_entries = list(entries)
+        self.skipped = skipped
         self.rules_payload = payload
         self.detector = IncrementalDetector(active, self.relation)
         return len(active)
+
+    @property
+    def skipped_rules(self) -> dict[str, str]:
+        """Rule name -> reason for the skipped rules (the response shape)."""
+        skipped = self.skipped
+        return {
+            e.name: skipped[i]
+            for i, e in enumerate(self.rule_entries)
+            if i in skipped
+        }
 
     def require_detector(self) -> IncrementalDetector:
         if self.detector is None:
@@ -143,7 +144,7 @@ class Tenant:
             ],
             "rows": len(current),
             "rules": len(self.rule_entries),
-            "skipped_rules": dict(self.skipped_rules),
+            "skipped_rules": self.skipped_rules,
             "batches_ingested": self.batches_ingested,
             "rows_ingested": self.rows_ingested,
             "violations": (

@@ -323,19 +323,9 @@ def _seed_manager(tmp_path, *, fsync="off", snapshot_every=1000, batches=6):
     tenant = reg.register("acme", schema, rows=[["1", "a"], ["2", "b"]])
     mgr.log_register(tenant)
 
-    from repro.analysis import lint_entries
     from repro.rules_io import parse_rules_with_meta
 
-    entries = parse_rules_with_meta(FD_RULES, source="t")
-    report = lint_entries(entries, schema=schema)
-    active = [
-        e.dependency
-        for i, e in enumerate(entries)
-        if i not in report.skippable
-    ]
-    tenant.rule_entries = list(entries)
-    tenant.rules_payload = FD_RULES
-    tenant.detector = IncrementalDetector(active, tenant.relation)
+    tenant.install_rules(parse_rules_with_meta(FD_RULES, source="t"), FD_RULES)
     mgr.log_rules(tenant, FD_RULES)
 
     for i in range(batches):
@@ -869,22 +859,15 @@ _CHAOS_CHILD = textwrap.dedent(
     rules = {"rules": [{"kind": "FD", "lhs": ["zip"], "rhs": ["city"]}]}
 
     from repro.server.state import parse_schema
-    from repro.incremental import IncrementalDetector
-    from repro.analysis import lint_entries
     from repro.rules_io import parse_rules_with_meta
 
     tenant = app.tenants.register("acme", parse_schema(schema),
                                   rows=[["1", "a"]])
     app.durability.log_register(tenant)
     entries = parse_rules_with_meta(rules, source="t")
-    report = lint_entries(entries, schema=tenant.schema)
-    active = [e.dependency for i, e in enumerate(entries)
-              if i not in report.skippable]
     with tenant.lock:
         app.durability.log_rules(tenant, rules)
-        tenant.rule_entries = list(entries)
-        tenant.rules_payload = rules
-        tenant.detector = IncrementalDetector(active, tenant.relation)
+        tenant.install_rules(entries, rules)
 
     for i in range(batches):
         print(json.dumps({"event": "applying", "batch": i}), flush=True)

@@ -4,8 +4,8 @@ One deliberately broken rule (or rule pair) per code DD001..DD009,
 checked through :func:`repro.analysis.lint_entries`/``lint_rules`` and
 — for the acceptance path — through the ``repro lint`` CLI with its
 exit-code contract and ``--fix`` output.  The check/watch wiring
-(implied-rule skipping, unsatisfiable fail-fast) is covered at the
-detector and CLI levels.
+(the :func:`repro.analysis.screen_rules` skip decision, unsatisfiable
+fail-fast) is covered at the library and CLI levels.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from repro.analysis import (
     Severity,
     lint_entries,
     lint_rules,
-    minimal_cover_entries,
     screen_rules,
-    skippable_rules,
 )
 from repro.cli import main
 from repro.core.categorical.afd import AFD
@@ -31,8 +29,7 @@ from repro.core.heterogeneous.dd import DD
 from repro.core.numerical.dc import DC, pred2, predc
 from repro.core.numerical.od import OD
 from repro.core.numerical.sd import SD
-from repro.incremental import IncrementalDetector
-from repro.relation import Attribute, AttributeType, Relation, Schema
+from repro.relation import Attribute, AttributeType, Schema
 from repro.rules_io import parse_rules_with_meta
 from repro.runtime import InputError
 
@@ -251,54 +248,97 @@ class TestCrossRuleDiagnostics:
                 ]
             }
         )
-        kept = minimal_cover_entries(entries)
-        assert [e.index for e in kept] == [0, 3]
+        skipped = screen_rules([e.dependency for e in entries])
+        assert skipped == {1: "duplicate", 2: "implied"}
+        assert [e.index for e in entries if e.index not in skipped] == [0, 3]
 
 
 class TestEvaluationWiring:
-    def test_skippable_rules_fast_path(self):
+    def test_screen_rules_fast_path(self):
         rules = [
             FD(["zip", "city"], ["zip"]),
             FD(["zip"], ["city"]),
             FD(["zip", "name"], ["city"]),
         ]
-        assert skippable_rules(rules) == {0: "trivial", 2: "implied"}
+        assert screen_rules(rules) == {0: "trivial", 2: "implied"}
 
     def test_screen_rules_raises_on_unsatisfiable(self):
         rules = [DC([pred2("price", "<"), pred2("price", ">")])]
         with pytest.raises(InputError, match="unsatisfiable"):
             screen_rules(rules)
 
-    def test_detector_analyze_skips_and_reports(self):
-        relation = Relation.from_rows(
-            SCHEMA,
-            [
-                ("10001", "NYC", 5.0, "a"),
-                ("10001", "LA", 7.0, "a"),
-            ],
+    # ``repro watch`` screens before it builds its detector and hands
+    # the detector only the rules it keeps.
+    @pytest.fixture()
+    def watch_files(self, tmp_path):
+        csv = tmp_path / "watch.csv"
+        csv.write_text(
+            "zip,city,name\n10001,NYC,a\n10001,LA,a\n", encoding="utf-8"
         )
-        rules = [
-            FD(["zip", "city"], ["zip"]),
-            FD(["zip"], ["city"]),
-            FD(["zip", "name"], ["city"]),
-        ]
-        detector = IncrementalDetector(rules, relation, analyze=True)
-        assert detector.skipped_rules == {
-            "FD: zip, city -> zip": "trivial",
-            "FD: zip, name -> city": "implied",
-        }
-        # The active rule still reports its violations.
-        assert len(detector.violations()) == 1
-        # Default stays off: full parity with the cold detector.
-        cold = IncrementalDetector(rules, relation)
-        assert cold.skipped_rules == {}
-        assert len(cold.violations()) == 2
+        log = tmp_path / "log.jsonl"
+        log.write_text("", encoding="utf-8")
+        return csv, log
 
-    def test_detector_analyze_raises_on_unsatisfiable(self):
-        relation = Relation.from_rows(SCHEMA, [])
-        rules = [DC([pred2("price", "<"), pred2("price", ">")])]
-        with pytest.raises(InputError, match="unsatisfiable"):
-            IncrementalDetector(rules, relation, analyze=True)
+    def test_detector_analyze_skips_and_reports(
+        self, watch_files, tmp_path, capsys
+    ):
+        csv, log = watch_files
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps(
+                {
+                    "rules": [
+                        {"kind": "FD", "lhs": ["zip", "city"],
+                         "rhs": ["zip"]},
+                        {"kind": "FD", "lhs": ["zip"], "rhs": ["city"]},
+                        {"kind": "FD", "lhs": ["zip", "name"],
+                         "rhs": ["city"]},
+                    ]
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = ["watch", str(csv), "--rules", str(rules), "--log", str(log)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "[skip] FD: zip, city -> zip: statically trivial",
+            "[skip] FD: zip, name -> city: statically implied",
+            f"watching {csv}: 2 rows, 3 rules (2 skipped by static "
+            "analysis), 1 initial violations",
+        ]
+        # Opt-out checks every rule: the implied one reports too.
+        assert main(argv + ["--no-analyze"]) == 1
+        out = capsys.readouterr().out
+        assert "[skip]" not in out
+        assert "3 rules, 2 initial violations" in out
+
+    def test_detector_analyze_raises_on_unsatisfiable(
+        self, watch_files, tmp_path, capsys
+    ):
+        csv, log = watch_files
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps(
+                {
+                    "rules": [
+                        {
+                            "kind": "DC",
+                            "predicates": [
+                                {"attr1": "zip", "op": "<",
+                                 "attr2": "zip"},
+                                {"attr1": "zip", "op": ">",
+                                 "attr2": "zip"},
+                            ],
+                        }
+                    ]
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = ["watch", str(csv), "--rules", str(rules), "--log", str(log)]
+        assert main(argv) == 2
+        assert "unsatisfiable" in capsys.readouterr().out
 
 
 @pytest.fixture()
@@ -487,6 +527,28 @@ class TestCheckWatchCli:
             )
             == 0
         )
+
+    def test_check_skips_duplicated_dc(self, tmp_path, capsys):
+        csv = tmp_path / "dc.csv"
+        csv.write_text("zip,city\n1,A\n1,B\n", encoding="utf-8")
+        dc = {
+            "kind": "DC",
+            "predicates": [
+                {"attr1": "zip", "op": "=", "attr2": "zip"},
+                {"attr1": "city", "op": "!=", "attr2": "city"},
+            ],
+        }
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [dc, dc]}), encoding="utf-8")
+        assert main(["check", str(csv), "--rules", str(rules)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # The original is checked and fails; its copy is skipped.
+        assert [ln.split()[0] for ln in lines if ln.startswith("[")] == [
+            "[FAIL]", "[skip]", "[info]"
+        ]
+        skip = next(ln for ln in lines if ln.startswith("[skip]"))
+        assert skip.endswith(": statically duplicate")
+        assert "1 of 2 rules skipped" in lines[-1]
 
 
 class TestDiagnosticVocabulary:

@@ -366,6 +366,28 @@ class TestEndToEnd:
         assert body["complete"] is False
         assert body["exhausted"] == "deadline"
 
+    def test_duplicate_rule_keeps_its_original(self, client):
+        # Without ids a rule and its duplicate share one name; the skip
+        # is kept by entry index, so the original is still checked.
+        register(client, "dupes", rows=[["A", "1", 1.0], ["B", "1", 2.0]])
+        fd = {"kind": "FD", "lhs": ["zip"], "rhs": ["city"]}
+        status, body = client.request(
+            "PUT", "/tenants/dupes/rules", {"rules": [fd, fd]}
+        )
+        assert status == 200
+        assert body["accepted"] == 1 and body["initial_violations"] == 1
+        status, state = client.request("GET", "/tenants/dupes/violations")
+        assert status == 200 and state["total_violations"] == 1
+
+        status, body = client.request("POST", "/tenants/dupes/check", {})
+        assert status == 200
+        assert body["rules_checked"] == 1
+        assert body["total_violations"] == state["total_violations"]
+
+        status, body = client.request("GET", "/tenants/dupes/rules")
+        assert status == 200
+        assert [r["skipped"] for r in body["rules"]] == [None, "duplicate"]
+
 
 # ---------------------------------------------------------------------------
 # concurrency

@@ -376,8 +376,8 @@ class TestWalBeforeAckPass:
         findings = run_pass(
             WalBeforeAckPass(),
             """
-            def upload(app, tenant, entries, report, payload):
-                tenant.install_rules(entries, report.skippable, payload)
+            def upload(app, tenant, entries, payload):
+                tenant.install_rules(entries, payload)
                 app.durability.log_rules(tenant, payload)
             """,
             self.PATH,
