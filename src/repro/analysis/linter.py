@@ -81,10 +81,6 @@ class LintReport:
         """The minimized set as a rule-file JSON document."""
         return {"rules": [dict(e.raw) for e in self.minimized()]}
 
-    def for_rule(self, index: int) -> list[Diagnostic]:
-        location = self.entries[index].location
-        return [d for d in self.diagnostics if d.location == location]
-
 
 def lint_entries(
     entries: Sequence[RuleEntry],

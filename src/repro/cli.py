@@ -278,7 +278,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     remaining = len(detector.violations())
     print(
-        f"done: {len(detector.history)} batches, "
+        f"done: {detector.batches} batches, "
         f"{len(detector.relation)} rows, {remaining} violations remaining"
     )
     if partial:
@@ -412,8 +412,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     from .plan import PlanCompileError, compile_dependency
-    from .relation.encoding import HAS_NUMPY
-
     from .rules_io import RuleFileError, load_rules
 
     try:
@@ -421,9 +419,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except RuleFileError as exc:
         print(f"[error] {exc}")
         return 2
-    mode = current_scope().backend
-    substrate = "numpy" if HAS_NUMPY else "no numpy (scalar only)"
-    print(f"kernel backend: {mode} [{substrate}]")
+    print(f"kernel backend: {current_scope().backend}")
     exit_code = 0
     for dep in rules:
         try:

@@ -156,12 +156,6 @@ class Pattern:
             for a in attributes
         )
 
-    def generality_key(self, attributes: Iterable[str]) -> tuple[int, ...]:
-        """1 per wildcard position — used to order tableau rows."""
-        return tuple(
-            1 if self.entry(a).is_wildcard else 0 for a in attributes
-        )
-
     def render(self, lhs: Iterable[str], rhs: Iterable[str]) -> str:
         """The paper's ``(a, b || c)`` tableau-row rendering."""
         left = ", ".join(str(self.entry(a)) for a in lhs)

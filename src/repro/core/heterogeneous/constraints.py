@@ -188,10 +188,6 @@ class DifferentialFunction:
             )
         return out
 
-    def is_similarity_only(self) -> bool:
-        """True iff every range is of the form [0, b] (NED-expressible)."""
-        return all(iv.is_similarity_range() for iv in self.ranges.values())
-
     def subsumes(self, other: "DifferentialFunction") -> bool:
         """φ subsumes φ' iff compatible(φ') implies compatible(φ).
 

@@ -20,18 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+import numpy as _np
+
 from ..core.numerical import ALPHA, BETA, DC, Predicate
-from ..relation import encoding as _encoding
 from ..relation.relation import Relation
 from ..relation.schema import AttributeType
 from ..runtime.budget import Budget, checkpoint, governed, resolve_budget
 from ..runtime.errors import BudgetExhausted, EngineFault, ReproError
 from .common import DiscoveryResult, DiscoveryStats
-
-if _encoding.HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - minimal installs
-    _np = None
 
 _EQ_OPS = ("=", "!=")
 _ORDER_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -133,8 +129,6 @@ def _vectorizable_plan(
     float route for equality too — codes would call two
     equal-by-identity NaNs equal where ``==`` does not.
     """
-    if _np is None:
-        return None
     enc = relation.encoding()
     schema = relation.schema
     plan: list[tuple] = []

@@ -161,7 +161,6 @@ class GroupKeyedChecker(IncrementalChecker):
 
     def _cold_start(self, relation: Relation) -> None:
         self._groups: dict[tuple, list[int]] = {}
-        self._key_of: dict[int, tuple] = {}
         self._group_viols: dict[tuple, list[ViolKey]] = {}
         self._row_viols: dict[int, list[ViolKey]] = {}
         for i in range(len(relation)):
@@ -169,8 +168,6 @@ class GroupKeyedChecker(IncrementalChecker):
             if key is None:
                 continue
             self._groups.setdefault(key, []).append(i)
-            self._key_of[i] = key
-        for i in self._key_of:
             self._add_row_viols(relation, i)
         for key in list(self._groups):
             self._refresh_group(relation, key)
@@ -222,7 +219,6 @@ class GroupKeyedChecker(IncrementalChecker):
             k: [remap[t] for t in members]
             for k, members in self._groups.items()
         }
-        self._key_of = {remap[t]: k for t, k in self._key_of.items()}
         self._group_viols = {
             gk: [_remap_key(vk, remap) for vk in vks]
             for gk, vks in self._group_viols.items()
@@ -243,7 +239,8 @@ class GroupKeyedChecker(IncrementalChecker):
         deleted = set(delta.deletes)
         dirty: set[tuple] = set()
         for row in touched | deleted:
-            key = self._key_of.pop(row, None)
+            # The groups index ``old``, so its row values give the key.
+            key = self._row_key(old, row)
             if key is not None:
                 members = self._groups[key]
                 members.remove(row)
@@ -270,7 +267,6 @@ class GroupKeyedChecker(IncrementalChecker):
             if key is None:
                 continue
             insort(self._groups.setdefault(key, []), nrow)
-            self._key_of[nrow] = key
             dirty.add(key)
             self._add_row_viols(new, nrow)
         for key in dirty:

@@ -1,4 +1,4 @@
-"""Tuple-level mutation batches and their cache-preserving application.
+"""Tuple-level mutation batches and their application.
 
 A :class:`Delta` describes one batch of mutations against a relation:
 cell updates, tuple deletions, and tuple insertions, applied in that
@@ -9,30 +9,23 @@ recomputing them.
 
 :func:`apply_delta` is the engine behind ``Relation.apply_delta``.  It
 builds the mutated relation column-wise (copy-on-touch: column tuples
-untouched by the batch are shared with the parent) and then, instead of
-discarding the substrate PR 1 built, carries it forward:
-
-* every group table in the parent's :class:`~repro.relation.
-  partition_cache.PartitionCache` is *patched* — only groups containing
-  changed tuples are rewritten, the rest share their member lists;
-* cached stripped partitions are rebuilt from the patched group tables
-  (never from scratch);
-* for batches without deletes, every built codebook of a column the
-  batch's updates leave untouched is *extended* — existing codes are
-  reused and new values append in first-occurrence order — so the
-  encoding cost of such a batch is O(batch).
+untouched by the batch are shared with the parent) and carries forward
+only the parent's dictionary codebooks: for batches without deletes,
+every built codebook of a column the batch's updates leave untouched is
+*extended* — existing codes are reused and new values append in
+first-occurrence order — so the encoding cost of such a batch is
+O(batch).
 
 A column the updates assign, and every column of a batch with deletes,
 gets a fresh (lazy) codebook: patching its codes in place would break
 the first-occurrence code order that the encoded substrate's parity
-with value-tuple grouping depends on.  Group-table patching has no
-such constraint (dict equality ignores key order), so it applies to
-every batch shape.
+with value-tuple grouping depends on.  The child's partition cache
+starts empty, as after ``take``/``extend``/``with_values``, so a batch
+costs the same whatever the parent had cached.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
@@ -100,12 +93,6 @@ class Delta:
 
     def is_empty(self) -> bool:
         return not (self.inserts or self.deletes or self.updates)
-
-    def touched_attributes(self) -> frozenset[str]:
-        """Attribute names assigned by any cell update in the batch."""
-        return frozenset(
-            a for __, assignment in self.updates for a, __v in assignment
-        )
 
     def new_size(self, n: int) -> int:
         return n - len(self.deletes) + len(self.inserts)
@@ -270,7 +257,7 @@ def parse_mutation_log(
 
 
 def apply_delta(relation: Relation, delta: Delta | Mapping[str, Any]) -> Relation:
-    """Apply a mutation batch, carrying caches and codebooks forward."""
+    """Apply a mutation batch, carrying built codebooks forward."""
     if not isinstance(delta, Delta):
         delta = Delta.from_json(delta, relation.schema)
     delta.validate(relation)
@@ -313,124 +300,4 @@ def apply_delta(relation: Relation, delta: Delta | Mapping[str, Any]) -> Relatio
         child._enc = relation._enc.extended(
             child._columns, len(child), changed=updates_by_col.keys()
         )
-
-    cache = relation._cache
-    if cache is not None and (cache._groups or cache._partitions):
-        _patch_cache(relation, child, delta, deleted)
     return child
-
-
-def _patch_cache(
-    parent: Relation,
-    child: Relation,
-    delta: Delta,
-    deleted: set[int],
-) -> None:
-    """Seed the child's partition cache by patching the parent's.
-
-    Every cached group table is patched in O(touched groups) plus an
-    O(n) index remap when the batch deletes; cached stripped partitions
-    are rebuilt from the patched tables (a partition cached without a
-    matching group table gets one materialized on the parent first, so
-    it too becomes patchable).  Untouched member lists are shared — the
-    cache contract is read-only, so sharing is safe.
-    """
-    from ..relation.partition import StrippedPartition
-    from ..relation.partition_cache import PartitionCache, cache_for
-
-    cache = parent._cache
-    n_old = len(parent)
-    remap = delta.remap(n_old) if deleted else None
-    n_survivors = n_old - len(deleted)
-    child_cache = PartitionCache(child)
-    for key, table in cache._groups.items():
-        child_cache._groups[key] = _patch_group_table(
-            parent, child, key, table, delta, deleted, remap, n_survivors
-        )
-    if cache._partitions:
-        by_sorted = {tuple(sorted(k)): k for k in child_cache._groups}
-        for pkey in cache._partitions:
-            gkey = by_sorted.get(pkey)
-            if gkey is None:
-                table = cache_for(parent).groups(pkey)
-                patched = _patch_group_table(
-                    parent, child, pkey, table, delta, deleted, remap,
-                    n_survivors,
-                )
-                child_cache._groups[pkey] = patched
-                by_sorted[pkey] = pkey
-            else:
-                patched = child_cache._groups[gkey]
-            child_cache._partitions[pkey] = StrippedPartition(
-                len(child), [m for m in patched.values() if len(m) >= 2]
-            )
-    child._cache = child_cache
-
-
-def _patch_group_table(
-    parent: Relation,
-    child: Relation,
-    key: tuple[str, ...],
-    table: dict[Row, list[int]],
-    delta: Delta,
-    deleted: set[int],
-    remap: list[int | None] | None,
-    n_survivors: int,
-) -> dict[Row, list[int]]:
-    """Patch one cached ``group_by(key)`` table for the batch.
-
-    Only groups containing a deleted, moved, or inserted row are
-    rewritten; when the batch has no deletes, every other member list is
-    shared with the parent's table (copy-on-append if an insert lands in
-    it later).  Key *order* is not preserved for moved/new groups —
-    callers compare group tables by dict equality, which ignores order.
-    """
-    attrs = list(key)
-    key_set = set(key)
-    removal_by_key: dict[Row, set[int]] = {}
-    placements: list[tuple[int, Row]] = []
-    for row, assignment in delta.updates:
-        if row in deleted or not any(a in key_set for a, __ in assignment):
-            continue
-        old_key = parent.values_at(row, attrs)
-        new_row = remap[row] if remap is not None else row
-        new_key = child.values_at(new_row, attrs)
-        if new_key != old_key:
-            removal_by_key.setdefault(old_key, set()).add(row)
-            placements.append((new_row, new_key))
-    for row in deleted:
-        old_key = parent.values_at(row, attrs)
-        removal_by_key.setdefault(old_key, set()).add(row)
-
-    new_table: dict[Row, list[int]] = {}
-    shared: set[Row] = set()
-    for gkey, members in table.items():
-        gone = removal_by_key.get(gkey)
-        if gone is None:
-            if remap is None:
-                new_table[gkey] = members
-                shared.add(gkey)
-            else:
-                new_table[gkey] = [remap[t] for t in members]
-        else:
-            kept = [
-                remap[t] if remap is not None else t
-                for t in members
-                if t not in gone
-            ]
-            if kept:
-                new_table[gkey] = kept
-    for k in range(len(delta.inserts)):
-        new_row = n_survivors + k
-        placements.append((new_row, child.values_at(new_row, attrs)))
-    for new_row, gkey in sorted(placements, key=lambda p: p[0]):
-        members = new_table.get(gkey)
-        if members is None:
-            new_table[gkey] = [new_row]
-            continue
-        if gkey in shared:
-            members = list(members)
-            new_table[gkey] = members
-            shared.discard(gkey)
-        insort(members, new_row)
-    return new_table

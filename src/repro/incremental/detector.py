@@ -91,7 +91,7 @@ class IncrementalDetector:
 
     Concurrency contract: one detector is a **single-writer** object —
     each :meth:`apply` mutates checker state, the current relation, and
-    the history as one logical transaction.  A per-detector lock
+    the batch counter as one logical transaction.  A per-detector lock
     *enforces* that contract: concurrent :meth:`apply` calls (e.g. two
     server requests racing on the same tenant changefeed) serialize in
     arrival order instead of interleaving half-advanced checker state.
@@ -115,7 +115,8 @@ class IncrementalDetector:
         self._checkers: list[IncrementalChecker] = [
             checker_for(rule, relation) for rule in self.rules
         ]
-        self.history: list[BatchChange] = []
+        #: Batches applied so far; the last :attr:`BatchChange.seq`.
+        self.batches = 0
         #: (seq, rule label, error) for every quarantined checker fault.
         self.quarantine: list[tuple[int, str, str]] = []
         #: Rule labels deactivated because their cold rebuild failed too.
@@ -194,7 +195,7 @@ class IncrementalDetector:
                 raise  # impossible under the fresh budget; never a death
             except Exception as exc:  # noqa: BLE001 - mirror _rebuild
                 message = f"resume rebuild failed: {exc}"
-                self.quarantine.append((len(self.history), label, message))
+                self.quarantine.append((self.batches, label, message))
                 self.dead_rules.append(label)
             return True
 
@@ -244,7 +245,7 @@ class IncrementalDetector:
     def _apply_locked(self, delta: Delta | Mapping[str, Any]) -> BatchChange:
         if not isinstance(delta, Delta):
             delta = Delta.from_json(delta, self._relation.schema)
-        seq = len(self.history) + 1
+        seq = self.batches + 1
         old = self._relation
         new = old.apply_delta(delta)
         remap = delta.remap(len(old)) if delta.deletes else None
@@ -284,7 +285,8 @@ class IncrementalDetector:
             resolved.extend(r)
         self._checkers = [c for c in surviving if c is not None]
         self._relation = new
-        change = BatchChange(
+        self.batches = seq
+        return BatchChange(
             seq=seq,
             delta=delta,
             added=added,
@@ -294,8 +296,6 @@ class IncrementalDetector:
             complete=not exhausted,
             exhausted=exhausted,
         )
-        self.history.append(change)
-        return change
 
     def replay(
         self, deltas: Iterable[Delta | Mapping[str, Any]]

@@ -10,7 +10,7 @@ of the paper's examples.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from ..relation.schema import Attribute, AttributeType, Schema
 from .base import Metric
@@ -58,9 +58,6 @@ class MetricRegistry:
     def for_schema(self, schema: Schema) -> dict[str, Metric]:
         """Resolve a metric for every attribute of ``schema``."""
         return {a.name: self.metric_for(a) for a in schema}
-
-    def bound_names(self) -> Iterable[str]:
-        return tuple(self._overrides)
 
 
 DEFAULT_REGISTRY = MetricRegistry()

@@ -67,7 +67,7 @@ from ..runtime import checkpoint
 # COUNTERS is re-exported: the root scope's counters, the process totals.
 from ..runtime.execution import COUNTERS as COUNTERS, current_scope
 from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan
-from .slabs import HAS_NUMPY, ExecutionContext
+from .slabs import ExecutionContext
 
 #: Pairs charged to the budget per checkpoint call.
 _BATCH = 256
@@ -510,14 +510,12 @@ def _vector_binding(plan: Plan, ctx: ExecutionContext) -> Any | None:
 
     Routing order: the execution scope's backend (``scalar`` never
     vectorizes; ``auto`` additionally requires ``_VEC_MIN_ROWS`` rows),
-    numpy being importable, the plan's static per-atom
-    vectorizability, and finally :func:`kernels_vec.bind`'s dynamic
-    per-context checks (column representability, metric identity).
+    the plan's static per-atom vectorizability, and finally
+    :func:`kernels_vec.bind`'s dynamic per-context checks (column
+    representability, metric identity).
     """
     mode = current_scope().backend
     if mode == "scalar":
-        return None
-    if not HAS_NUMPY:
         return None
     if not plan.vector_eligible:
         return None

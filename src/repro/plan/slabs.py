@@ -11,10 +11,6 @@ nothing else, which is what makes plan execution *engine-neutral*: the
 same kernels run serially in-process, in the forked shards of
 :mod:`repro.plan.parallel` (which inherit the parent's context), or
 (future work) against a pushed-down SQL engine.
-
-Layering note: this module re-exports :data:`HAS_NUMPY` from the
-substrate so the kernel modules can stay free of any
-``repro.relation`` import.
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from ..relation.encoding import HAS_NUMPY  # noqa: F401  (re-exported for kernels)
-
-__all__ = ["ExecutionContext", "context_for", "HAS_NUMPY"]
+__all__ = ["ExecutionContext", "context_for"]
 
 
 class ExecutionContext:

@@ -10,7 +10,7 @@ for MVD semantics).
 
 from .schema import Attribute, AttributeType, Schema, SchemaError, as_attribute_names
 from .relation import Relation
-from .encoding import HAS_NUMPY, RelationEncoding
+from .encoding import RelationEncoding
 from .partition import StrippedPartition
 from .partition_cache import CacheStats, PartitionCache, cache_for
 from .io import read_csv, read_csv_text, to_csv_text, write_csv
@@ -22,7 +22,6 @@ __all__ = [
     "SchemaError",
     "as_attribute_names",
     "Relation",
-    "HAS_NUMPY",
     "RelationEncoding",
     "CacheStats",
     "PartitionCache",

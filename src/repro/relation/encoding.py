@@ -18,10 +18,8 @@ maps each column to a compact integer vector:
   combination of the per-column codes, re-densified on overflow — so a
   multi-attribute group key is one machine integer instead of a tuple.
 
-With numpy present (a declared dependency), grouping becomes
-``np.unique`` + a stable argsort over the combined codes; without it, a
-pure-Python fallback groups the integer codes through a dict, which is
-still cheaper than hashing value tuples.  It is the only grouping path.
+Grouping is ``np.unique`` + a stable argsort over the combined codes.
+It is the only grouping path.
 
 Parity contract (enforced by ``tests/test_encoding_parity.py``): for
 every primitive the encoded path returns results *equal* to the
@@ -39,13 +37,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Sequence
 from typing import Any
 
-try:  # numpy is a declared dependency, but keep the substrate importable
-    import numpy as _np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as _np
 
 Value = Any
 
@@ -276,7 +268,7 @@ class ColumnCodes:
         tail = column[start:]
         out._fold(out.values[self.n_distinct:], tail)
         out._array = None
-        if self._array is not None and HAS_NUMPY:
+        if self._array is not None:
             out._array = _np.concatenate(
                 [self._array, _np.asarray(codes[start:], dtype=_np.int64)]
             )
@@ -288,7 +280,7 @@ class ColumnCodes:
         out._floats = None
         out._valid = None
         out._sorted = None
-        if HAS_NUMPY and out.numeric_safe:
+        if out.numeric_safe:
             tail_floats = _np.asarray(
                 [float("nan") if v is None else float(v) for v in tail],
                 dtype=_np.float64,
@@ -330,7 +322,7 @@ class ColumnCodes:
         return out
 
     def array(self):
-        """The codes as an ``int64`` numpy vector (numpy builds only)."""
+        """The codes as an ``int64`` numpy vector."""
         if self._array is None:
             self._array = _np.asarray(self.codes, dtype=_np.int64)
         return self._array
@@ -399,7 +391,7 @@ class RelationEncoding:
         self._columns = columns
         self._n = n
         self._per_column: list[ColumnCodes | None] = [None] * len(columns)
-        #: column-index tuple -> combined int codes (ndarray or list).
+        #: column-index tuple -> combined ``int64`` codes.
         self._combined: dict[tuple[int, ...], Any] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
         #: memoized group tables / normalized stripped classes — the
@@ -459,7 +451,7 @@ class RelationEncoding:
         return cc.kind(self._columns[j])
 
     def gather(self, j: int):
-        """Batch fetch of one column's kernel arrays (numpy builds only).
+        """Batch fetch of one column's kernel arrays.
 
         Returns ``(codes, floats, valid)``: ``int64`` dictionary codes,
         the float projection (``None`` unless the column is
@@ -487,31 +479,22 @@ class RelationEncoding:
             return cached
         first = self.column_codes(idxs[0])
         if len(idxs) == 1:
-            combined = first.array() if HAS_NUMPY else first.codes
+            combined = first.array()
             self._combined[idxs] = combined
             return combined
-        if HAS_NUMPY:
-            acc = first.array().copy()
-            card = max(first.n_distinct, 1)
-            for j in idxs[1:]:
-                cc = self.column_codes(j)
-                radix = max(cc.n_distinct, 1)
-                if card * radix > _MAX_RADIX:
-                    __, acc = _np.unique(acc, return_inverse=True)
-                    acc = acc.astype(_np.int64, copy=False)
-                    card = int(acc.max()) + 1 if acc.size else 1
-                    if card * radix > _MAX_RADIX:  # pragma: no cover
-                        raise OverflowError("combined key space too large")
-                acc = acc * radix + cc.array()
-                card *= radix
-        else:
-            acc = list(first.codes)
-            for j in idxs[1:]:
-                cc = self.column_codes(j)
-                radix = max(cc.n_distinct, 1)
-                codes = cc.codes
-                for i in range(self._n):  # Python ints cannot overflow
-                    acc[i] = acc[i] * radix + codes[i]
+        acc = first.array().copy()
+        card = max(first.n_distinct, 1)
+        for j in idxs[1:]:
+            cc = self.column_codes(j)
+            radix = max(cc.n_distinct, 1)
+            if card * radix > _MAX_RADIX:
+                __, acc = _np.unique(acc, return_inverse=True)
+                acc = acc.astype(_np.int64, copy=False)
+                card = int(acc.max()) + 1 if acc.size else 1
+                if card * radix > _MAX_RADIX:  # pragma: no cover
+                    raise OverflowError("combined key space too large")
+            acc = acc * radix + cc.array()
+            card *= radix
         self._combined[idxs] = acc
         return acc
 
@@ -538,7 +521,7 @@ class RelationEncoding:
         codes = self.combined_codes(idxs)
         if self._n == 0:
             table: list[tuple[int, list[int]]] = []
-        elif HAS_NUMPY and isinstance(codes, _np.ndarray):
+        else:
             # One stable argsort over the combined codes; equal codes
             # stay in row order, so each slice is already ascending and
             # its head is the group's first-occurrence row.
@@ -550,11 +533,6 @@ class RelationEncoding:
             rows = order.tolist()
             table = [(rows[s], rows[s:e]) for s, e in zip(starts, ends, strict=True)]
             table.sort(key=lambda group: group[0])
-        else:
-            groups: dict[int, list[int]] = {}
-            for i, c in enumerate(codes):
-                groups.setdefault(c, []).append(i)
-            table = [(members[0], members) for members in groups.values()]
         self._groups[idxs] = table
         return table
 
@@ -610,11 +588,7 @@ class RelationEncoding:
         if len(idxs) == 1:
             count = self.column_codes(idxs[0]).n_distinct
         else:
-            codes = self.combined_codes(idxs)
-            if HAS_NUMPY and isinstance(codes, _np.ndarray):
-                count = int(_np.unique(codes).size)
-            else:
-                count = len(set(codes))
+            count = int(_np.unique(self.combined_codes(idxs)).size)
         self._distinct[idxs] = count
         return count
 
@@ -624,18 +598,9 @@ class RelationEncoding:
         Ascending first-occurrence rows reproduce the duplicate
         elimination order of a value-tuple scan.
         """
-        codes = self.combined_codes(idxs)
-        if HAS_NUMPY and isinstance(codes, _np.ndarray):
-            __, first = _np.unique(codes, return_index=True)
-            first.sort()
-            return first.tolist()
-        seen: set[int] = set()
-        out: list[int] = []
-        for i, c in enumerate(codes):
-            if c not in seen:
-                seen.add(c)
-                out.append(i)
-        return out
+        __, first = _np.unique(self.combined_codes(idxs), return_index=True)
+        first.sort()
+        return first.tolist()
 
     # -- pairwise primitives -------------------------------------------
 
@@ -645,13 +610,13 @@ class RelationEncoding:
         Bit ``b`` of a mask is set iff the pair disagrees on the
         ``b``-th attribute of ``idxs`` (FastFD's difference sets, as
         integers).  Returns ``None`` when the vectorized kernel cannot
-        guarantee parity with raw ``!=`` comparisons — no numpy, more
-        than 62 attributes, or a column holding NaN-like values that
-        are unequal to themselves (raw ``!=`` sees a difference where
+        guarantee parity with raw ``!=`` comparisons — more than 62
+        attributes, or a column holding NaN-like values that are
+        unequal to themselves (raw ``!=`` sees a difference where
         equal dictionary codes would not).
         """
         k = len(idxs)
-        if not HAS_NUMPY or not 1 <= k <= 62 or self._n < 2:
+        if not 1 <= k <= 62 or self._n < 2:
             return None
         cols = []
         for j in idxs:

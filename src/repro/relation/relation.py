@@ -312,12 +312,12 @@ class Relation:
         """New relation with a mutation batch applied — see
         :mod:`repro.incremental`.
 
-        Unlike :meth:`extend`/:meth:`take`/:meth:`with_values`, the
-        derived relation inherits *patched* partition-cache entries from
-        this one; like :meth:`extend`, it carries forward every built
-        codebook of a column the batch's updates leave untouched (none
-        if the batch deletes).  That is what makes incremental
-        re-checking cheap.
+        Like :meth:`extend`, the derived relation carries forward every
+        built codebook of a column the batch's updates leave untouched
+        (none if the batch deletes), which keeps the encoding cost of a
+        batch O(batch).  Nothing else carries over: as after
+        :meth:`take`/:meth:`with_values`, its partition cache starts
+        empty.
         """
         from ..incremental.delta import apply_delta
 

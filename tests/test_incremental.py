@@ -1,8 +1,8 @@
 """Tests for the incremental validation engine (ISSUE-7 tentpole).
 
 Covers the :class:`~repro.incremental.Delta` model and its validation,
-``Relation.apply_delta`` semantics (column sharing, cache patching,
-codebook extension), the changefeed contract of
+``Relation.apply_delta`` semantics (column sharing, codebook
+extension, an empty partition cache), the changefeed contract of
 :class:`~repro.incremental.IncrementalDetector`, the mixed-notation
 rule-file loader, and the ``repro watch`` CLI.  The statistical
 equivalence with cold recomputation lives in
@@ -235,6 +235,9 @@ class TestApplyDelta:
 
 
 class TestCachePatching:
+    """A batch applied to a parent with warm caches: the child builds its
+    own groups and partitions, and they match a fresh build."""
+
     def test_patched_groups_match_fresh(self):
         r = _rel([("k1", "v1"), ("k2", "v2"), ("k1", "v3")])
         r.cached_group_by(["a"])  # warm the parent cache
@@ -246,16 +249,6 @@ class TestCachePatching:
         for attrs in (["a"], ["a", "b"]):
             assert out.cached_group_by(attrs) == fresh.group_by(attrs)
 
-    def test_insert_only_shares_untouched_group_lists(self):
-        r = _rel([("k1", "v1"), ("k2", "v2")])
-        parent_groups = r.cached_group_by(["a"])
-        out = r.apply_delta(Delta(inserts=[("k2", "v9")]))
-        child_groups = out.cached_group_by(["a"])
-        # k1's member list is untouched and shared; k2's grew (copied).
-        assert child_groups[("k1",)] is parent_groups[("k1",)]
-        assert child_groups[("k2",)] == [1, 2]
-        assert parent_groups[("k2",)] == [1]
-
     def test_patched_partition_matches_fresh(self):
         r = _rel([("k1", "v1"), ("k1", "v2"), ("k2", "v3")])
         cache_for(r).partition(["a"])  # warm
@@ -265,6 +258,8 @@ class TestCachePatching:
             Relation.from_rows(out.schema, out.rows()), ["a"]
         )
 
+
+class TestCodebookCarry:
     def test_codebooks_extended_on_insert_only(self):
         r = _rel([("k1", "v1"), ("k2", "v2")])
         r.cached_group_by(["a"])  # force encoding build
@@ -306,13 +301,15 @@ class TestCachePatching:
 
 
 class TestStaleness:
-    """Satellite (b): derived relations never serve stale parent state."""
+    """Derived relations never serve stale parent state: each starts
+    with an empty partition cache, whatever the parent had cached."""
 
     def _warmed(self):
         r = _rel(
             [("k1", "v1"), ("k1", "v2"), ("k2", "v3"), ("k3", "v4")],
         )
         r.cached_group_by(["a"])
+        r.cached_group_by(["a", "b"])
         cache_for(r).partition(["a"])
         return r
 
@@ -323,14 +320,29 @@ class TestStaleness:
             lambda r: r.drop([0, 3]),
             lambda r: r.extend([("k9", "v9")]),
             lambda r: r.with_values(0, {"a": "k2"}),
+            lambda r: r.apply_delta(
+                Delta(inserts=[("k2", "v9")], updates=[(0, {"a": "k3"})])
+            ),
+            lambda r: r.apply_delta(
+                Delta(
+                    inserts=[("k2", "v4")],
+                    deletes=[0],
+                    updates=[(1, {"a": "k3"})],
+                )
+            ),
         ],
-        ids=["take", "drop", "extend", "with_values"],
+        ids=[
+            "take", "drop", "extend", "with_values",
+            "apply_delta", "apply_delta_deletes",
+        ],
     )
     def test_mutated_relation_groups_are_fresh(self, mutate):
         r = self._warmed()
         out = mutate(r)
+        assert len(cache_for(out)) == 0
         fresh = Relation.from_rows(out.schema, out.rows())
-        assert out.cached_group_by(["a"]) == fresh.group_by(["a"])
+        for attrs in (["a"], ["a", "b"]):
+            assert out.cached_group_by(attrs) == fresh.group_by(attrs)
         assert cache_for(out).partition(["a"]) == (
             StrippedPartition.from_relation(fresh, ["a"])
         )
