@@ -44,47 +44,10 @@ import sys
 from collections.abc import Sequence
 
 from .core.categorical import FD
-from .profiler import profile_relation
-from .relation import Attribute, AttributeType, Relation, Schema
-from .relation.io import read_csv
+from .relation.io import load_relation
 from .runtime.budget import Budget, checkpoint, governed
 from .runtime.errors import BudgetExhausted, ReproError
 from .runtime.execution import current_scope, execution
-
-
-def _detect_schema(path: str, numerical: set[str], text: set[str]) -> Schema:
-    """Infer column types from the CSV head, honouring overrides."""
-    raw = read_csv(path)
-
-    def is_number(v: object) -> bool:
-        try:
-            float(str(v))
-        except (TypeError, ValueError):
-            return False
-        return True
-
-    attrs = []
-    for name in raw.schema.names():
-        if name in numerical:
-            dtype = AttributeType.NUMERICAL
-        elif name in text:
-            dtype = AttributeType.TEXT
-        else:
-            column = [v for v in raw.column(name) if v is not None]
-            dtype = (
-                AttributeType.NUMERICAL
-                if column and all(is_number(v) for v in column)
-                else AttributeType.TEXT
-            )
-        attrs.append(Attribute(name, dtype))
-    return Schema(attrs)
-
-
-def load_relation(path: str, numerical: Sequence[str] = (),
-                  text: Sequence[str] = ()) -> Relation:
-    """Load a CSV with auto-detected (or overridden) column types."""
-    schema = _detect_schema(path, set(numerical), set(text))
-    return read_csv(path, schema)
 
 
 def _parse_fd(spec: str) -> FD:
@@ -125,6 +88,8 @@ def _budget_from_args(args: argparse.Namespace) -> Budget | None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .profiler import profile_relation
+
     relation = load_relation(args.csv, args.numerical, args.text)
     report = profile_relation(
         relation,

@@ -23,9 +23,9 @@ relations, which is this reproduction's evidence for Fig. 1A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Callable, Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..relation.relation import Relation
 from .base import Conjunction, Dependency
@@ -33,6 +33,9 @@ from .categorical import AFD, AMVD, CFD, ECFD, FD, FHD, MVD, NUD, PFD, SFD
 from .heterogeneous import CD, CDD, DD, FFD, MD, MFD, NED, PAC
 from .heterogeneous.md import CMD
 from .numerical import CSD, DC, OD, OFD, SD
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (imported on first use)
+    import networkx as nx
 
 Embedding = Callable[[Dependency], Dependency]
 
@@ -149,11 +152,19 @@ class FamilyTree:
 
     def __init__(self, edges: Sequence[ExtensionEdge] = EDGES) -> None:
         self.edges = tuple(edges)
-        self.graph = nx.DiGraph()
+
+    @cached_property
+    def graph(self) -> nx.DiGraph:
+        """The arrows as a ``networkx.DiGraph``, built on first use (a
+        command that never asks about the tree never imports networkx)."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
         for name, branch in BRANCHES.items():
-            self.graph.add_node(name, branch=branch)
+            graph.add_node(name, branch=branch)
         for e in self.edges:
-            self.graph.add_edge(e.source, e.target, edge=e)
+            graph.add_edge(e.source, e.target, edge=e)
+        return graph
 
     # -- queries -----------------------------------------------------------
 
@@ -165,14 +176,20 @@ class FamilyTree:
 
     def extends(self, target: str, source: str) -> bool:
         """Does ``target`` (transitively) subsume ``source``?"""
+        import networkx as nx
+
         return nx.has_path(self.graph, source, target)
 
     def generalizations(self, notation: str) -> list[str]:
         """All notations subsuming ``notation`` (its ancestors' closure)."""
+        import networkx as nx
+
         return sorted(nx.descendants(self.graph, notation))
 
     def specializations(self, notation: str) -> list[str]:
         """All notations that ``notation`` subsumes."""
+        import networkx as nx
+
         return sorted(nx.ancestors(self.graph, notation))
 
     def roots(self) -> list[str]:
@@ -189,6 +206,8 @@ class FamilyTree:
 
     def extension_path(self, source: str, target: str) -> list[str]:
         """One chain of arrows from ``source`` up to ``target``."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, source, target)
 
     def embed_along_path(
@@ -208,6 +227,8 @@ class FamilyTree:
         return out
 
     def is_dag(self) -> bool:
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.graph)
 
     def to_text(self) -> str:

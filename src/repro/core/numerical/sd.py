@@ -22,6 +22,7 @@ from collections.abc import Sequence
 
 from ...relation.relation import Relation
 from ...relation.schema import Attribute
+from ...runtime.budget import checkpoint
 from ..base import Dependency, DependencyError, format_attrs
 from ..categorical.fd import _names
 from ..heterogeneous.constraints import Interval
@@ -132,7 +133,8 @@ class SD(Dependency):
         insertions/deletions making it hold; deletions alone suffice for
         an upper-bound sequence, so we compute the longest subsequence
         (in X-order) whose consecutive gaps all fall in ``g`` — an
-        O(n²) DP — and report ``|longest| / n``.
+        O(n²) DP that polls the ambient budget once per row — and report
+        ``|longest| / n``.  It is 1 exactly when :meth:`holds`.
         """
         order = self.sorted_indices(relation)
         n = len(order)
@@ -141,6 +143,7 @@ class SD(Dependency):
         ys = [float(relation.value_at(i, self.rhs)) for i in order]
         best = [1] * n
         for k in range(1, n):
+            checkpoint()
             for m in range(k):
                 if self.gap.contains(ys[k] - ys[m]) and best[m] + 1 > best[k]:
                     best[k] = best[m] + 1

@@ -61,19 +61,25 @@ class Relation:
 
     @classmethod
     def _from_trusted(
-        cls, schema: Schema, columns: tuple[tuple[Value, ...], ...]
+        cls, schema: Schema, columns: tuple[tuple[Value, ...], ...],
+        codes: Sequence[_encoding.ColumnCodes] | None = None,
     ) -> "Relation":
         """Internal constructor for already-validated column tuples.
 
         Skips the per-column re-tupling of ``__init__`` so derived
         relations (``with_value`` and friends) can share unchanged
-        column tuples with their parent.
+        column tuples with their parent.  ``codes``, one codebook per
+        column, arrives from a loader that built them while parsing:
+        the relation then starts encoded.
         """
         out = cls.__new__(cls)
         out._schema = schema
         out._columns = columns
         out._size = len(columns[0]) if columns else 0
         out._enc = None
+        if codes is not None:
+            out._enc = _encoding.RelationEncoding(columns, out._size)
+            out._enc._per_column = list(codes)
         out._cache = None
         return out
 
@@ -184,7 +190,8 @@ class Relation:
 
         Relations are immutable, so the encoding never invalidates;
         derived relations start with a fresh one, or with one carried
-        forward by :meth:`extend` / :meth:`apply_delta`.
+        forward by :meth:`extend` / :meth:`apply_delta`.  A relation
+        read from CSV arrives with every codebook built.
         """
         enc = self._enc
         if enc is None:

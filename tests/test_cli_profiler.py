@@ -1,12 +1,20 @@
 """Tests for the profiler and the CLI."""
 
+import os
+import random
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.cli import _parse_fd, load_relation, main
 from repro.datasets import fd_workload, hotel_r1, hotel_r7
 from repro.profiler import profile_relation
-from repro.relation import AttributeType
+from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.relation.io import write_csv
+from repro.runtime.budget import Budget
 
 
 @pytest.fixture
@@ -71,6 +79,57 @@ class TestProfiler:
             if r.category.startswith("approximate")
         ]
         assert any(r.violations > 0 for r in approx)
+
+
+def address_numbers(n: int, seed: int = 1) -> Relation:
+    """The numerical columns of address rows: an entity fixes the
+    street position and the price band; subtotal and taxes follow the
+    day.  Few repeated values, so SD discovery is the profile's main
+    pass."""
+    rng = random.Random(seed)
+    rows = []
+    for __ in range(n):
+        entity = rng.randrange(max(1, n // 5))
+        day = rng.uniform(0.0, 3650.0)
+        rows.append((
+            round(entity * 2.0 + rng.uniform(-0.2, 0.2), 4),
+            round(day, 4),
+            round(100.0 + entity % 300 + rng.uniform(-4.0, 4.0), 2),
+            round(day * 10.0, 4),
+            round(day, 4),
+        ))
+    names = ("street", "day", "price", "subtotal", "taxes")
+    return Relation.from_rows(
+        Schema([Attribute(a, AttributeType.NUMERICAL) for a in names]), rows
+    )
+
+
+class TestProfileDeadline:
+    @pytest.mark.parametrize("n", [3000, 13800])
+    def test_profile_returns_near_its_deadline(self, n):
+        relation = address_numbers(n)
+        start = time.perf_counter()
+        profile_relation(relation, budget=Budget(deadline_s=1))
+        assert time.perf_counter() - start < 1.5
+
+
+def test_cli_import_skips_graph_and_discovery_modules():
+    """``repro check`` needs neither networkx nor the discovery stack."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
+        " or m.startswith(('repro.discovery', 'repro.profiler'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCLI:
