@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of `repro serve`: ephemeral port, tenant + rules,
-# three row batches, then assert the violation counters and /metrics.
+# three row batches, a discovery job polled to success, then assert
+# the violation counters and /metrics.
 # CI runs this against the installed package; locally:
 #     bash scripts/server_smoke.sh
 set -euo pipefail
@@ -89,6 +90,27 @@ post_with_retry "$BASE/tenants/smoke/batches" \
 curl -fsS "$BASE/tenants/smoke/violations" \
     | grep -q '"total_violations": 1' \
     || { echo "expected 1 cumulative violation" >&2; exit 1; }
+
+# A discovery job over the tenant's rows: submit, poll until it
+# leaves the queue, and require success with a non-empty rule list.
+json_field() {  # json_field EXPR < JSON  (EXPR over the parsed body `d`)
+    python -c "import json, sys; d = json.load(sys.stdin); print($1)"
+}
+JOB=$(curl -fsS -X POST "$BASE/tenants/smoke/jobs" \
+    -H 'Content-Type: application/json' -d '{"type":"discovery"}' \
+    | json_field 'd["job"]')
+STATE=""
+for _ in $(seq 1 200); do
+    RECORD=$(curl -fsS "$BASE/jobs/$JOB")
+    STATE=$(echo "$RECORD" | json_field 'd["state"]')
+    [ "$STATE" = "queued" ] || [ "$STATE" = "running" ] || break
+    sleep 0.1
+done
+[ "$STATE" = "succeeded" ] \
+    || { echo "discovery job ended '$STATE': $RECORD" >&2; exit 1; }
+RULES=$(echo "$RECORD" | json_field 'len(d["result"]["rules"])')
+[ "$RULES" -gt 0 ] || { echo "discovery job found no rules" >&2; exit 1; }
+echo "discovery job $JOB: $RULES rules"
 
 METRICS=$(curl -fsS "$BASE/metrics")
 for want in \

@@ -130,38 +130,47 @@ def _implies_pairwise(a: Dependency, b: Dependency) -> bool:
     return False
 
 
+#: The notations :func:`_implies_pairwise` relates, in its test order.
+#: Two rules can imply one another pairwise only inside one family.
+_FAMILIES: tuple[type[Dependency], ...] = (DD, OD, SD, MD, MFD, AFD)
+
+
+def _family(dep: Dependency) -> type[Dependency] | None:
+    return next((cls for cls in _FAMILIES if isinstance(dep, cls)), None)
+
+
 def _implied_by_set(
     index: int,
     rules: Sequence[Dependency],
     active: set[int],
+    fd_forms: Sequence[FD | None],
+    fd_pool: Sequence[tuple[int, FD]],
+    kin: Sequence[int],
 ) -> tuple[int, ...] | None:
-    """Witness indices when rule ``index`` is implied by the others."""
+    """Witness indices when rule ``index`` is implied by the others.
+
+    ``fd_pool`` holds the rules with an FD form (with that form) and
+    ``kin`` the rules of this rule's family, both in ``active``'s
+    iteration order; members no longer active are passed over.
+    """
     target = rules[index]
 
-    target_fd: FD | None = _as_fd(target)
+    target_fd = fd_forms[index]
     if target_fd is None and type(target) is AFD:
         # An FD pool implying the embedded FD implies the AFD (g3 = 0).
         target_fd = target.embedded
     if target_fd is not None and not fd_implies([], target_fd):
         # (A trivial FD is implied by the empty set — that is DD004's
         # finding, not an implication between rules.)
-        pool: list[tuple[int, FD]] = []
-        for j in active:
-            if j == index:
-                continue
-            fd = _as_fd(rules[j])
-            if fd is not None:
-                pool.append((j, fd))
+        pool = [(j, fd) for j, fd in fd_pool if j != index and j in active]
         if pool and fd_implies([fd for _, fd in pool], target_fd):
             for j, fd in pool:
                 if fd_implies([fd], target_fd):
                     return (j,)
             return tuple(j for j, _ in pool)
 
-    for j in active:
-        if j == index:
-            continue
-        if _implies_pairwise(rules[j], target):
+    for j in kin:
+        if j != index and j in active and _implies_pairwise(rules[j], target):
             return (j,)
     return None
 
@@ -345,6 +354,11 @@ def _redundant_rules(rules: Sequence[Dependency]) -> Redundancy:
     skipped one.  A trivial rule holds on every relation; a duplicate
     holds whenever its (earlier, never itself duplicate) original
     does; an implied rule holds whenever its witnesses do.
+
+    Each rule's facts (family, FD form) are computed once, and a rule
+    is compared only with the rules that could duplicate or imply it:
+    an equal rule of its type, found by hashing when it has no family;
+    the FD pool; and the active rules of its family.
     """
     trivial: dict[int, str] = {}
     for i, dep in enumerate(rules):
@@ -352,21 +366,47 @@ def _redundant_rules(rules: Sequence[Dependency]) -> Redundancy:
         if why is not None:
             trivial[i] = why
 
+    families = [_family(dep) for dep in rules]
     duplicate_of: dict[int, int] = {}
+    first_equal: dict[tuple[type[Dependency], Dependency], int] = {}
+    # type -> its rules that are not duplicates, so far
+    originals: dict[type[Dependency], list[int]] = {}
     for i, dep in enumerate(rules):
-        for j in range(i):
-            if j not in duplicate_of and _is_duplicate(rules[j], dep):
-                duplicate_of[i] = j
-                break
+        same_type = originals.setdefault(type(dep), [])
+        if families[i] is None:
+            # Outside every family a rule duplicates only an equal one.
+            try:
+                j = first_equal.setdefault((type(dep), dep), i)
+            except TypeError:  # an unhashable rule: scan its type
+                j = next((j for j in same_type if rules[j] == dep), i)
+        else:
+            j = next(
+                (j for j in same_type if _is_duplicate(rules[j], dep)), i
+            )
+        if j == i:
+            same_type.append(i)
+        else:
+            duplicate_of[i] = j
 
     # Greedy descending pass: try to drop the *latest* rule first, then
     # re-test earlier ones against the shrunken set, so mutual-
     # implication groups keep their earliest member and the result is a
     # cover (the surviving rules still imply everything dropped).
+    # Candidates are tried in ``active``'s iteration order (a set's,
+    # which discarding members leaves unchanged): it picks witnesses.
     active = {i for i in range(len(rules)) if i not in duplicate_of}
+    order = list(active)
+    fd_forms = [_as_fd(dep) for dep in rules]
+    fd_pool = [(j, fd) for j in order if (fd := fd_forms[j]) is not None]
+    kin: dict[type[Dependency] | None, list[int]] = {}
+    for j in order:
+        if families[j] is not None:
+            kin.setdefault(families[j], []).append(j)
     implied_by: dict[int, tuple[int, ...]] = {}
     for i in sorted(active, reverse=True):
-        found = _implied_by_set(i, rules, active)
+        found = _implied_by_set(
+            i, rules, active, fd_forms, fd_pool, kin.get(families[i], ())
+        )
         if found is not None:
             implied_by[i] = found
             active.discard(i)

@@ -5,6 +5,8 @@ Every notation surveyed by the paper — from plain FDs to DCs — is a
 
 * :meth:`~Dependency.holds` — does the constraint hold on a relation?
 * :meth:`~Dependency.violations` — evidence of why not;
+* :meth:`~Dependency.violation_count` — how much evidence, which the
+  FD family counts without listing it;
 * :attr:`~Dependency.kind` — the notation's short name ("FD", "CFD", …),
   matching the survey's Table 2 vocabulary.
 
@@ -61,6 +63,15 @@ class Dependency(abc.ABC):
         compare their measure against the threshold instead.
         """
         return not self.violations(relation)
+
+    def violation_count(self, relation: Relation) -> int:
+        """``len(self.violations(relation))``.
+
+        Default: list the violations and count them.  The FD family
+        (FD, AFD, SFD, CFD, eCFD) counts from the relation's code
+        groups instead, without listing a pair.
+        """
+        return len(self.violations(relation))
 
     def attributes(self) -> tuple[str, ...]:
         """Names of all attributes the dependency mentions (for routing)."""

@@ -88,6 +88,9 @@ class AFD(MeasuredDependency):
         """Evidence = the embedded FD's pairwise violations."""
         return self.embedded.violations(relation)
 
+    def violation_count(self, relation: Relation) -> int:
+        return self.embedded.violation_count(relation)
+
     # -- family tree -----------------------------------------------------------
 
     @classmethod

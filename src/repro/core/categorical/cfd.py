@@ -20,12 +20,36 @@ from __future__ import annotations
 from itertools import combinations
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
+from ...relation.encoding import ColumnCodes
 from ...relation.relation import Relation
 from ...relation.schema import Attribute
 from ..base import Dependency, DependencyError, format_attrs
 from ..violation import Violation, ViolationSet
 from .fd import FD
-from .pattern import Pattern
+from .pattern import Pattern, PatternEntry
+
+
+def _matching_codes(entry: PatternEntry, codes: ColumnCodes) -> list[int]:
+    """The codes of a column whose value matches ``entry``, ascending.
+
+    An equality constant is one codebook lookup, and the value found is
+    checked with :meth:`PatternEntry.matches`, so ``None``, NaN and
+    ``1 == 1.0 == True`` keep their per-row meaning.  An operator
+    entry, or a constant that cannot be hashed, tests each distinct
+    value once.
+    """
+    if entry.is_constant:
+        try:
+            code = codes.codebook.get(entry.constant)
+        except TypeError:  # unhashable constant: test every value
+            pass
+        else:
+            if code is None or not entry.matches(codes.values[code]):
+                return []
+            return [code]
+    return [c for c, v in enumerate(codes.values) if entry.matches(v)]
 
 
 class CFD(Dependency):
@@ -98,22 +122,48 @@ class CFD(Dependency):
         """True iff the RHS pattern is a wildcard (variable CFD)."""
         return all(self.pattern.entry(a).is_wildcard for a in self.rhs)
 
+    def _matching_rows(self, relation: Relation):
+        """Ascending index vector of the tuples matching ``t_p`` on the
+        LHS, read from the columns' codes (a wildcard restricts
+        nothing)."""
+        enc = relation.encoding()
+        rows = None
+        for a in self.lhs:
+            entry = self.pattern.entry(a)
+            if entry.is_wildcard:
+                continue
+            codes = enc.column_codes(relation.schema.index_of(a))
+            hits = _matching_codes(entry, codes)
+            if rows is None and len(hits) == 1:
+                rows = np.asarray(codes.groups()[hits[0]], dtype=np.int64)
+                continue
+            mask = np.zeros(codes.n_distinct, dtype=bool)
+            mask[hits] = True
+            column = codes.array()
+            rows = (
+                np.flatnonzero(mask[column]) if rows is None
+                else rows[mask[column[rows]]]
+            )
+        return np.arange(len(relation)) if rows is None else rows
+
     def matching_indices(self, relation: Relation) -> list[int]:
         """Tuples matching ``t_p`` on the LHS — the conditioned subset."""
-        return [
-            i for i in range(len(relation)) if self.matches_lhs(relation, i)
-        ]
+        return self._matching_rows(relation).tolist()
 
     def support(self, relation: Relation) -> float:
         """Fraction of tuples the condition covers (Section 2.5.3)."""
         if len(relation) == 0:
             return 0.0
-        return len(self.matching_indices(relation)) / len(relation)
+        return len(self._matching_rows(relation)) / len(relation)
 
     # -- semantics ------------------------------------------------------------
 
     def matches_lhs(self, relation: Relation, i: int) -> bool:
-        """Does tuple ``i`` match ``t_p`` on the LHS (is it conditioned)?"""
+        """Does tuple ``i`` match ``t_p`` on the LHS (is it conditioned)?
+
+        The incremental checker re-derives changed tuples one by one
+        through this; whole-relation scans use :meth:`matching_indices`.
+        """
         # Targeted reads: only the LHS columns, so column routing by
         # attributes() stays faithful.
         record = {a: relation.value_at(i, a) for a in self.lhs}
@@ -193,26 +243,30 @@ class CFD(Dependency):
             vs.extend(self.group_violations(relation, x_value, indices, label))
         return vs
 
+    def violation_count(self, relation: Relation) -> int:
+        """``len(self.violations(relation))``, no violation listed.
+
+        The matching tuples that fail a constant RHS entry (one
+        violation each, however many entries they fail), plus the
+        embedded FD's count on the matching tuples.
+        """
+        rows = self._matching_rows(relation)
+        enc = relation.encoding()
+        failing = np.zeros(len(rows), dtype=bool)
+        for a in self.rhs:
+            entry = self.pattern.entry(a)
+            if entry.is_wildcard:
+                continue
+            codes = enc.column_codes(relation.schema.index_of(a))
+            fails = np.ones(codes.n_distinct, dtype=bool)
+            fails[_matching_codes(entry, codes)] = False
+            failing |= fails[codes.array()[rows]]
+        return int(failing.sum()) + self.embedded.violation_count(
+            relation, rows
+        )
+
     def holds(self, relation: Relation) -> bool:
-        matching = self.matching_indices(relation)
-        rhs_conditioned = [
-            a for a in self.rhs if not self.pattern.entry(a).is_wildcard
-        ]
-        groups: dict[tuple, tuple] = {}
-        for i in matching:
-            for a in rhs_conditioned:
-                if not self.pattern.entry(a).matches(
-                    relation.value_at(i, a)
-                ):
-                    return False
-            x = relation.values_at(i, self.lhs)
-            y = relation.values_at(i, self.rhs)
-            if x in groups:
-                if groups[x] != y:
-                    return False
-            else:
-                groups[x] = y
-        return True
+        return self.violation_count(relation) == 0
 
     # -- family tree -------------------------------------------------------------
 

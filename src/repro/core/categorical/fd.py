@@ -160,6 +160,21 @@ class FD(PairwiseDependency):
     def violations(self, relation: Relation) -> ViolationSet:
         return ViolationSet(self.iter_violations(relation))
 
+    def violation_count(self, relation: Relation, rows=None) -> int:
+        """``len(self.violations(relation))``, no pair listed.
+
+        A violating pair agrees on ``X`` but not on ``Y``, so the count
+        is the pairs agreeing on ``X`` minus those agreeing on
+        ``X ∪ Y``, both read from the relation's code groups.  ``rows``
+        (an ascending index vector) restricts the count to those rows:
+        a CFD's pattern-matching subset.
+        """
+        index_of = relation.schema.index_of
+        lhs = tuple(index_of(a) for a in self.lhs)
+        both = tuple(dict.fromkeys(lhs + tuple(index_of(a) for a in self.rhs)))
+        enc = relation.encoding()
+        return enc.agreeing_pairs(lhs, rows) - enc.agreeing_pairs(both, rows)
+
     def holds(self, relation: Relation) -> bool:
         """Linear-time check: every X-group has a single Y-value."""
         rhs_cols = self._rhs_columns(relation)

@@ -94,10 +94,10 @@ class SFD(MeasuredDependency):
         Note the SFD may still *hold* despite non-empty evidence when the
         strength clears the threshold; ``holds`` uses the measure.
         """
-        vs = ViolationSet()
-        for v in self.embedded.iter_violations(relation):
-            vs.add(v)
-        return vs
+        return self.embedded.violations(relation)
+
+    def violation_count(self, relation: Relation) -> int:
+        return self.embedded.violation_count(relation)
 
     # -- family tree --------------------------------------------------------
 

@@ -84,25 +84,25 @@ class SD(Dependency):
         Tuples with missing ``X`` or ``Y`` values are excluded — the
         sequence semantics is undefined for them.
         """
+        cols = [relation.column(a) for a in self.lhs]
         usable = [
-            i
-            for i in range(len(relation))
-            if all(relation.value_at(i, a) is not None for a in self.lhs)
-            and relation.value_at(i, self.rhs) is not None
+            i for i, y in enumerate(relation.column(self.rhs)) if y is not None
         ]
-        return sorted(usable, key=lambda i: relation.values_at(i, self.lhs))
+        for col in cols:
+            usable = [i for i in usable if col[i] is not None]
+        keys = list(zip(*cols, strict=True))
+        return sorted(usable, key=keys.__getitem__)
 
     def consecutive_gaps(
         self, relation: Relation
     ) -> list[tuple[int, int, float]]:
         """(prev_index, next_index, y_next - y_prev) along the X-order."""
         order = self.sorted_indices(relation)
-        out: list[tuple[int, int, float]] = []
-        for a, b in zip(order, order[1:], strict=False):
-            ya = relation.value_at(a, self.rhs)
-            yb = relation.value_at(b, self.rhs)
-            out.append((a, b, float(yb) - float(ya)))
-        return out
+        ys = relation.column(self.rhs)
+        return [
+            (a, b, float(ys[b]) - float(ys[a]))
+            for a, b in zip(order, order[1:], strict=False)
+        ]
 
     # -- semantics --------------------------------------------------------------
 

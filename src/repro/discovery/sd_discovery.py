@@ -99,10 +99,12 @@ def fit_gap_interval(
     """The tightest gap interval making ``lhs ->_g rhs`` hold.
 
     ``slack`` widens both ends (fractional, relative to the span) to
-    avoid overfitting the exact extremes.
+    avoid overfitting the exact extremes.  A NaN gap (next to a NaN
+    cell) lies in every interval, so only the other gaps are fitted;
+    with none left the interval is infinite.
     """
     probe = SD(lhs, rhs, (None, None))
-    gaps = [g for __, __, g in probe.consecutive_gaps(relation)]
+    gaps = [g for __, __, g in probe.consecutive_gaps(relation) if g == g]
     if not gaps:
         return Interval(-math.inf, math.inf)
     low, high = min(gaps), max(gaps)
@@ -136,9 +138,8 @@ def discover_sds(
                 checkpoint()
                 stats.candidates_checked += 1
                 gap = fit_gap_interval(relation, lhs, rhs)
-                col = [
-                    float(v) for v in relation.column(rhs) if v is not None
-                ]
+                ys = [float(v) for v in relation.column(rhs) if v is not None]
+                col = [y for y in ys if y == y]  # a NaN cell spans nothing
                 if not col or gap.high == math.inf or gap.low == -math.inf:
                     stats.candidates_pruned += 1
                     continue

@@ -11,7 +11,9 @@ structured report —
 * constant CFDs (CFDMiner);
 * order dependencies and fitted sequential dependencies on the
   numerical columns;
-* per-rule violation counts against the data itself.
+* per-rule violation counts against the data itself
+  (:meth:`~repro.core.base.Dependency.violation_count`: the FD family
+  counts from code groups, without listing a pair).
 
 The report is a plain dataclass so applications can consume it, plus a
 ``render()`` for terminals; :mod:`repro.cli` wraps it for the shell.
@@ -119,7 +121,7 @@ def profile_relation(
             )
         for dep in deps:
             checkpoint()
-            count = len(dep.violations(relation))
+            count = dep.violation_count(relation)
             report.rules.append(RuleReport(dep, category, count))
 
     budget = resolve_budget(budget)

@@ -654,6 +654,22 @@ class RelationEncoding:
         self._distinct[idxs] = count
         return count
 
+    def agreeing_pairs(self, idxs: tuple[int, ...], rows: Any = None) -> int:
+        """Number of row pairs equal on every column of ``idxs``.
+
+        ``Σ c(c−1)/2`` over the sizes ``c`` of the equal-code groups of
+        :meth:`combined_codes`, restricted to the ``rows`` index vector
+        when one is given.  No pair is listed: this is the counting
+        kernel behind the FD family's violation counts.
+        """
+        codes = self.combined_codes(idxs)
+        if rows is not None:
+            codes = codes[rows]
+        if codes.size < 2:
+            return 0
+        __, sizes = _np.unique(codes, return_counts=True)
+        return int((sizes * (sizes - 1) // 2).sum())
+
     def distinct_first_rows(self, idxs: tuple[int, ...]) -> list[int]:
         """First-occurrence row of each distinct combination, ascending.
 

@@ -15,6 +15,11 @@ polled job, alongside whatever the engine completed.
 :class:`~repro.runtime.errors.EngineFault` is reported (job state
 ``failed`` with the fault site) — never swallowed.
 
+Finished jobs are kept for polling only while they are among their
+tenant's :data:`FINISHED_JOBS_KEPT` most recent; an older one is
+evicted, and polling its id answers 404, as for an id never issued.
+Queued and running jobs are always kept.
+
 Cancellation is cooperative and reuses the budget machinery: every job
 runs under *some* budget (an unbounded one when the request set no
 caps), and ``cancel`` marks it exhausted with reason ``"cancelled"`` —
@@ -28,6 +33,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -54,6 +60,10 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 
 JOB_TYPES = ("discovery", "repair")
+
+#: Finished jobs kept per tenant; each finished discovery job holds its
+#: whole rule payload, so an unbounded history grows without limit.
+FINISHED_JOBS_KEPT = 16
 
 
 @dataclass
@@ -132,6 +142,8 @@ class JobManager:
             max_workers=max_workers, thread_name_prefix="repro-job"
         )
         self._jobs: dict[str, Job] = {}
+        #: tenant -> its finished job ids, oldest first.
+        self._finished: dict[str, deque[str]] = {}
         self._lock = threading.Lock()
         #: Called on every terminal transition: (job) -> None.
         self.on_finish: Callable[[Job], None] | None = None
@@ -195,7 +207,7 @@ class JobManager:
             if job.future is not None and job.future.cancel():
                 job.state = CANCELLED
                 job.finished_at = time.time()
-                self._notify(job)
+                self._finish(job)
                 return job
             # Already running: poison the budget; the run wrapper maps
             # the resulting "cancelled" exhaustion to the final state.
@@ -205,7 +217,15 @@ class JobManager:
     def shutdown(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
 
-    def _notify(self, job: Job) -> None:
+    def _finish(self, job: Job) -> None:
+        """Every terminal transition ends here: keep the job among its
+        tenant's finished ones (evicting the oldest beyond
+        :data:`FINISHED_JOBS_KEPT`), then tell the observer."""
+        with self._lock:
+            done = self._finished.setdefault(job.tenant_id, deque())
+            done.append(job.job_id)
+            while len(done) > FINISHED_JOBS_KEPT:
+                del self._jobs[done.popleft()]
         if self.on_finish is not None:
             try:
                 self.on_finish(job)
@@ -238,7 +258,7 @@ class JobManager:
                     f" (site: {exc.site})" if exc.site else ""
                 )
                 job.finished_at = time.time()
-            self._notify(job)
+            self._finish(job)
             return
         # staticcheck: disable=SC008 — job boundary: the error (typed
         # name included, BudgetExhausted too) is surfaced on the failed
@@ -248,7 +268,7 @@ class JobManager:
                 job.state = FAILED
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.finished_at = time.time()
-            self._notify(job)
+            self._finish(job)
             return
         with job._lock:
             job.result = result
@@ -257,7 +277,7 @@ class JobManager:
                 else SUCCEEDED
             )
             job.finished_at = time.time()
-        self._notify(job)
+        self._finish(job)
 
     def _stage(
         self,

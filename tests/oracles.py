@@ -5,10 +5,14 @@ production path is optimized: value-tuple grouping instead of
 dictionary codes (``repro.relation.encoding``), a scan of every tuple
 pair instead of pruned kernels (``repro.plan``), a row-by-row CSV read
 (two of them, to infer column types) instead of the one-pass columnar
-loader (``repro.relation.io``).  They share nothing
+loader (``repro.relation.io``), a CFD pattern matched row by row
+instead of through codebooks, and the skip decision with every rule
+compared against every other instead of by family bucket
+(``repro.analysis.cross_rule``).  They share nothing
 with the paths they check except each notation's own predicate
 (``pair_violation``, ``Predicate.evaluate``, the LHS/RHS similarity
-tests), which *is* the definition the kernels re-verify against.
+tests, ``CFD.matches_lhs``, the pairwise implication tests), which *is*
+the definition the fast paths re-verify against.
 
 Nothing here is fast, and nothing in ``src/`` calls it: the oracles
 exist so a fast path that silently loses or invents answers fails a
@@ -24,12 +28,23 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations
 from typing import Any
 
+from repro.analysis.cross_rule import (
+    Redundancy,
+    _as_fd,
+    _is_duplicate,
+    _implies_pairwise,
+    _trivial_reason,
+)
+from repro.core.categorical.afd import AFD
+from repro.core.categorical.cfd import CFD
+from repro.core.categorical.fd import FD
 from repro.core.heterogeneous.cd import CD
 from repro.core.heterogeneous.md import MD
 from repro.core.heterogeneous.ned import NED
 from repro.core.heterogeneous.pac import PAC
 from repro.core.heterogeneous.constraints import Interval
 from repro.core.numerical.dc import ALPHA, BETA, DC
+from repro.core.implication import implies as fd_implies
 from repro.core.numerical.sd import SD
 from repro.relation import (
     Attribute,
@@ -223,11 +238,78 @@ def holds(dep: Any, relation: Relation) -> bool:
     return not pair_violations(dep, relation)
 
 
+# -- CFD pattern matching ----------------------------------------------------
+
+
+def cfd_matching_indices(cfd: CFD, relation: Relation) -> list[int]:
+    """The tuples matching ``t_p`` on the LHS, one row at a time."""
+    return [i for i in range(len(relation)) if cfd.matches_lhs(relation, i)]
+
+
+# -- the skip decision -------------------------------------------------------
+
+
+def _implied_by_set(
+    index: int, rules: Sequence[Any], active: set[int]
+) -> tuple[int, ...] | None:
+    """Witness indices when rule ``index`` is implied by the others:
+    every active rule is a candidate."""
+    target = rules[index]
+    target_fd = _as_fd(target)
+    if target_fd is None and type(target) is AFD:
+        target_fd = target.embedded
+    if target_fd is not None and not fd_implies([], target_fd):
+        pool: list[tuple[int, FD]] = []
+        for j in active:
+            if j == index:
+                continue
+            fd = _as_fd(rules[j])
+            if fd is not None:
+                pool.append((j, fd))
+        if pool and fd_implies([fd for _, fd in pool], target_fd):
+            for j, fd in pool:
+                if fd_implies([fd], target_fd):
+                    return (j,)
+            return tuple(j for j, _ in pool)
+    for j in active:
+        if j == index:
+            continue
+        if _implies_pairwise(rules[j], target):
+            return (j,)
+    return None
+
+
+def redundant_rules(rules: Sequence[Any]) -> Redundancy:
+    """The skip decision with every rule compared against every other:
+    duplicates against all earlier rules, implication against every
+    active rule, in ``active``'s own iteration order."""
+    trivial: dict[int, str] = {}
+    for i, dep in enumerate(rules):
+        why = _trivial_reason(dep)
+        if why is not None:
+            trivial[i] = why
+    duplicate_of: dict[int, int] = {}
+    for i, dep in enumerate(rules):
+        for j in range(i):
+            if j not in duplicate_of and _is_duplicate(rules[j], dep):
+                duplicate_of[i] = j
+                break
+    active = {i for i in range(len(rules)) if i not in duplicate_of}
+    implied_by: dict[int, tuple[int, ...]] = {}
+    for i in sorted(active, reverse=True):
+        found = _implied_by_set(i, rules, active)
+        if found is not None:
+            implied_by[i] = found
+            active.discard(i)
+    return Redundancy(trivial, duplicate_of, dict(sorted(implied_by.items())))
+
+
 # -- SD discovery ------------------------------------------------------------
 
 
 def discover_sds(relation: Relation, max_relative_span: float) -> list[SD]:
-    """Gap intervals fitted to the consecutive gaps, kept when narrow
+    """Gap intervals fitted to the consecutive gaps that are not NaN,
+    kept when narrow against the span of the column's non-NaN values
     and when the confidence DP (Golab et al.) verifies them at 1."""
     names = sorted(a.name for a in relation.schema.numerical_attributes())
     found = []
@@ -236,8 +318,14 @@ def discover_sds(relation: Relation, max_relative_span: float) -> list[SD]:
             if lhs == rhs:
                 continue
             probe = SD(lhs, rhs, (None, None))
-            gaps = [g for __, __, g in probe.consecutive_gaps(relation)]
-            ys = [float(v) for v in relation.column(rhs) if v is not None]
+            gaps = [
+                g for __, __, g in probe.consecutive_gaps(relation)
+                if not math.isnan(g)
+            ]
+            ys = [
+                float(v) for v in relation.column(rhs)
+                if v is not None and not math.isnan(float(v))
+            ]
             if not gaps or not ys:
                 continue
             low, high = min(gaps), max(gaps)

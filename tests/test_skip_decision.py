@@ -11,6 +11,11 @@ sets of mixed notations:
   cells (``None``, NaN, ints next to equal floats), where a family-tree
   edge that only holds on clean data would show.
 
+The decision itself compares a rule only with the rules that could
+duplicate or imply it (an equal rule of its type, the FD pool, its
+family); it must equal the all-pairs oracle in ``tests/oracles.py``,
+witnesses included, on rule sets with repeats and in any order.
+
 The generator leans toward repeated rules and FDs with a widened LHS,
 the two ways real rule files grow redundant.
 """
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import lint_rules, screen_rules
+from repro.analysis.cross_rule import _redundant_rules
 from repro.core.categorical.afd import AFD
 from repro.core.categorical.cfd import CFD
 from repro.core.categorical.fd import FD
@@ -33,6 +39,8 @@ from repro.core.numerical.sd import SD
 from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.runtime import InputError
 from repro.server.state import Tenant
+
+from . import oracles
 
 COLUMNS = ("a", "b", "c", "d")
 SCHEMA = Schema([Attribute(c, AttributeType.NUMERICAL) for c in COLUMNS])
@@ -182,3 +190,34 @@ def test_every_skip_is_sound(rules, samples):
                 f"{rules[i].label()} skipped as {why} but violated while "
                 f"every kept rule holds on rows {list(relation.rows())}"
             )
+
+
+@st.composite
+def crowded_rule_sets(draw):
+    """Several rule sets run together, with repeats, rules that cannot
+    be hashed (a CFD over a list constant), and a shuffle."""
+    rules = [r for part in draw(st.lists(rule_sets(), min_size=1, max_size=4))
+             for r in part]
+    for __ in range(draw(st.integers(min_value=0, max_value=2))):
+        x, y = draw(attrs), draw(attrs)
+        rules.append(CFD([x], [y], {x: [draw(st.sampled_from([0, 1]))]}))
+    repeats = draw(st.lists(st.sampled_from(rules), max_size=6))
+    return draw(st.permutations(rules + repeats))
+
+
+@given(crowded_rule_sets())
+@settings(max_examples=200, deadline=None)
+def test_bucketed_decision_equals_the_all_pairs_oracle(rules):
+    assert _redundant_rules(rules) == oracles.redundant_rules(rules)
+
+
+def test_witnesses_follow_the_active_sets_iteration_order():
+    """Rule 0 is implied by rules 3 and 8 alike; the witness is the
+    first candidate in ``active``'s own iteration order ({0, 3, 8}
+    iterates 0, 8, 3), as in the all-pairs oracle."""
+    wide, low, high = (SD(["a"], "b", g) for g in [(0, 10), (0, 1), (2, 3)])
+    rules = [wide, wide, wide, low, wide, wide, wide, wide, high]
+    assert list({0, 3, 8}) == [0, 8, 3]
+    decided = _redundant_rules(rules)
+    assert decided.implied_by == {0: (8,)}
+    assert decided == oracles.redundant_rules(rules)
