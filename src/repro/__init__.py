@@ -29,6 +29,8 @@ Quickstart::
     print(fd1.violations(r1))       # (t3, t4) and (t5, t6), 1-based
 """
 
+import importlib
+
 from .relation import (
     Attribute,
     AttributeType,
@@ -91,26 +93,35 @@ from .core import (
     predc,
     verify_edge,
 )
-from .incremental import (
-    BatchChange,
-    Delta,
-    DeltaError,
-    IncrementalDetector,
-    parse_mutation_log,
-)
-from .datasets import (
-    dataspace_person,
-    fd_workload,
-    heterogeneous_workload,
-    hotel_r1,
-    hotel_r5,
-    hotel_r6,
-    hotel_r7,
-    ordered_workload,
-    random_relation,
-)
 
 __version__ = "1.0.0"
+
+#: Top-level names resolved on first use, so that ``import repro.cli``
+#: (the ``repro check`` path) loads neither the incremental engine, the
+#: quality engines it imports, nor the datasets: name -> its submodule.
+_LAZY = {
+    **dict.fromkeys(
+        ["BatchChange", "Delta", "DeltaError", "IncrementalDetector",
+         "parse_mutation_log"],
+        "incremental",
+    ),
+    **dict.fromkeys(
+        ["dataspace_person", "fd_workload", "heterogeneous_workload",
+         "hotel_r1", "hotel_r5", "hotel_r6", "hotel_r7",
+         "ordered_workload", "random_relation"],
+        "datasets",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -102,11 +102,8 @@ class AFD(MeasuredDependency):
 def g3_error(dep: FD, relation: Relation) -> float:
     """``g3`` of an FD: fraction of tuples to delete for exact satisfaction.
 
-    Exact and linear-time: per equal-``X`` group, every tuple outside the
-    largest single-``Y`` subgroup must go.
+    Exact: per equal-``X`` group, every tuple outside the largest
+    single-``Y`` subgroup must go, ``(n − Σ largest subgroup) / n``,
+    read from the relation's ``(X, Y)`` code table.
     """
-    n = len(relation)
-    if n == 0:
-        return 0.0
-    kept = len(dep.keeps(relation))
-    return (n - kept) / n
+    return dep.table(relation).g3()

@@ -246,24 +246,63 @@ class CFD(Dependency):
     def violation_count(self, relation: Relation) -> int:
         """``len(self.violations(relation))``, no violation listed.
 
-        The matching tuples that fail a constant RHS entry (one
+        Read from the relation's ``(X, Y)`` code table.  An ``X`` group
+        matches ``t_p`` on the LHS iff its first row does, and an
+        ``X ∪ Y`` group fails a constant RHS entry iff its first row
+        does: each entry's matching codes come from its column's
+        codebook (:func:`_matching_codes`).  The count is the rows of
+        the matching groups that fail a constant RHS entry (one
         violation each, however many entries they fail), plus the
-        embedded FD's count on the matching tuples.
+        embedded FD's pairs within the matching groups.
         """
-        rows = self._matching_rows(relation)
+        table = self.embedded.table(relation)
+        groups = self._lhs_groups(relation, table)
+        first, sizes = table.first, table.sizes
+        if groups is not None:
+            inside = table.subgroups(groups)
+            first, sizes = first[inside], sizes[inside]
+        meets = self._meets(relation, self.rhs, first)
+        failing = 0 if meets is None else int(sizes[~meets].sum())
+        return failing + table.disagreeing_pairs(groups)
+
+    def _lhs_groups(self, relation: Relation, table):
+        """The ``X`` groups of ``table`` matching ``t_p`` on the LHS, as
+        ascending indices (``None``: all of them)."""
+        attrs = set(self.lhs)
+        if len(attrs) == 1:
+            (a,) = attrs
+            entry = self.pattern.entry(a)
+            if entry.is_wildcard:
+                return None
+            # A column's codes are dense over its values, so the X
+            # groups of one column are its codes: group g is code g.
+            codes = relation.encoding().column_codes(
+                relation.schema.index_of(a)
+            )
+            return np.asarray(_matching_codes(entry, codes), dtype=np.int64)
+        meets = self._meets(relation, self.lhs, table.x_first)
+        return None if meets is None else np.flatnonzero(meets)
+
+    def _meets(self, relation: Relation, attributes, rows):
+        """Per index of ``rows``: does that row meet every pattern entry
+        over ``attributes``?  ``None`` when every entry is a wildcard."""
         enc = relation.encoding()
-        failing = np.zeros(len(rows), dtype=bool)
-        for a in self.rhs:
+        out = None
+        for a in attributes:
             entry = self.pattern.entry(a)
             if entry.is_wildcard:
                 continue
             codes = enc.column_codes(relation.schema.index_of(a))
-            fails = np.ones(codes.n_distinct, dtype=bool)
-            fails[_matching_codes(entry, codes)] = False
-            failing |= fails[codes.array()[rows]]
-        return int(failing.sum()) + self.embedded.violation_count(
-            relation, rows
-        )
+            hits = _matching_codes(entry, codes)
+            cells = codes.array()[rows]
+            if len(hits) == 1:
+                meets = cells == hits[0]
+            else:
+                mask = np.zeros(codes.n_distinct, dtype=bool)
+                mask[hits] = True
+                meets = mask[cells]
+            out = meets if out is None else out & meets
+        return out
 
     def holds(self, relation: Relation) -> bool:
         return self.violation_count(relation) == 0

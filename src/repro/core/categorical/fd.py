@@ -13,6 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from ...relation.encoding import Contingency
 from ...relation.relation import Relation
 from ...relation.schema import Attribute
 from ..base import PairwiseDependency, ensure_nonempty, format_attrs
@@ -141,18 +144,39 @@ class FD(PairwiseDependency):
         by_y = self._split_by_y(indices, self._rhs_columns(relation))
         return max(len(members) for members in by_y.values())
 
+    def table(self, relation: Relation) -> Contingency:
+        """The relation's code table of ``(X, Y)`` (memoized on it)."""
+        index_of = relation.schema.index_of
+        return relation.encoding().contingency(
+            tuple(map(index_of, self.lhs)), tuple(map(index_of, self.rhs))
+        )
+
     def iter_violations(self, relation: Relation) -> Iterator[Violation]:
         """Group-based violation scan — O(n + violations), not O(n²).
 
-        Within each equal-``X`` group, tuples split by their ``Y``-value;
+        Within an equal-``X`` group, tuples split by their ``Y``-value;
         every cross pair between different ``Y``-subgroups violates.
-        The ``X``-groups come from the relation's shared cache, so a
-        detector running many rules over one relation groups each LHS
-        only once.
+        The code table names the groups holding more than one ``Y``
+        code, and only those are split, in first-occurrence order.
         """
+        table = self.table(relation)
+        split = table.y_counts() > 1
+        if not split.any():
+            return
         label = self.label()
+        index_of = relation.schema.index_of
+        codes = relation.encoding().combined_codes(
+            tuple(map(index_of, self.lhs))
+        )
+        bad = codes[np.sort(table.x_first[split])]
+        rows = np.flatnonzero(np.isin(codes, bad))
+        members: dict[int, list[int]] = {c: [] for c in bad.tolist()}
+        for i, c in zip(rows.tolist(), codes[rows].tolist(), strict=True):
+            members[c].append(i)
+        lhs_cols = [relation.column(a) for a in self.lhs]
         rhs_cols = self._rhs_columns(relation)
-        for x_value, indices in relation.cached_group_by(self.lhs).items():
+        for indices in members.values():
+            x_value = tuple(col[indices[0]] for col in lhs_cols)
             yield from self._group_violations(
                 label, x_value, indices, rhs_cols
             )
@@ -160,32 +184,20 @@ class FD(PairwiseDependency):
     def violations(self, relation: Relation) -> ViolationSet:
         return ViolationSet(self.iter_violations(relation))
 
-    def violation_count(self, relation: Relation, rows=None) -> int:
+    def violation_count(self, relation: Relation) -> int:
         """``len(self.violations(relation))``, no pair listed.
 
-        A violating pair agrees on ``X`` but not on ``Y``, so the count
-        is the pairs agreeing on ``X`` minus those agreeing on
-        ``X ∪ Y``, both read from the relation's code groups.  ``rows``
-        (an ascending index vector) restricts the count to those rows:
-        a CFD's pattern-matching subset.
+        A violating pair agrees on ``X`` but not on ``Y``: the pairs
+        within ``X`` groups minus those within ``X ∪ Y`` groups, read
+        from the code table.
         """
-        index_of = relation.schema.index_of
-        lhs = tuple(index_of(a) for a in self.lhs)
-        both = tuple(dict.fromkeys(lhs + tuple(index_of(a) for a in self.rhs)))
-        enc = relation.encoding()
-        return enc.agreeing_pairs(lhs, rows) - enc.agreeing_pairs(both, rows)
+        return self.table(relation).disagreeing_pairs()
 
     def holds(self, relation: Relation) -> bool:
-        """Linear-time check: every X-group has a single Y-value."""
-        rhs_cols = self._rhs_columns(relation)
-        for indices in relation.cached_group_by(self.lhs).values():
-            if len(indices) < 2:
-                continue
-            first = tuple(col[indices[0]] for col in rhs_cols)
-            for t in indices[1:]:
-                if tuple(col[t] for col in rhs_cols) != first:
-                    return False
-        return True
+        """Every ``X`` group holds one ``Y``-value: ``X`` and ``X ∪ Y``
+        have equal ranks."""
+        table = self.table(relation)
+        return table.x_rank == table.xy_rank
 
     # -- derived quantities ---------------------------------------------------
 

@@ -80,6 +80,11 @@ class PatternEntry:
         return f"{self.op} {self.constant!r}"
 
 
+#: The entry of every attribute a pattern does not mention (immutable,
+#: so one instance serves them all).
+_ANY = PatternEntry(WILDCARD)
+
+
 def wildcard() -> PatternEntry:
     return PatternEntry(WILDCARD)
 
@@ -130,7 +135,7 @@ class Pattern:
         }
 
     def entry(self, attribute: str) -> PatternEntry:
-        return self._entries.get(attribute, wildcard())
+        return self._entries.get(attribute, _ANY)
 
     def entries(self) -> dict[str, PatternEntry]:
         return dict(self._entries)
@@ -151,10 +156,7 @@ class Pattern:
 
     def uses_only_constants(self, attributes: Iterable[str]) -> bool:
         """True iff no entry uses an eCFD operator (only ``=`` / ``_``)."""
-        return all(
-            self.entry(a).is_wildcard or self.entry(a).is_constant
-            for a in attributes
-        )
+        return all(self.entry(a).op in (WILDCARD, "=") for a in attributes)
 
     def render(self, lhs: Iterable[str], rhs: Iterable[str]) -> str:
         """The paper's ``(a, b || c)`` tableau-row rendering."""

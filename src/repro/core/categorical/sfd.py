@@ -78,15 +78,13 @@ class SFD(MeasuredDependency):
         """The strength ``S = |dom(X)| / |dom(XY)|`` (1.0 on empty input).
 
         Since each distinct XY-value projects onto a distinct X-value or
-        shares one, ``|dom(X)| <= |dom(XY)|`` and S is in (0, 1].
+        shares one, ``|dom(X)| <= |dom(XY)|`` and S is in (0, 1].  Both
+        are the ranks of the relation's ``(X, Y)`` code table.
         """
         if len(relation) == 0:
             return 1.0
-        dom_x = relation.distinct_count(self.lhs)
-        dom_xy = relation.distinct_count(
-            tuple(dict.fromkeys(self.lhs + self.rhs))
-        )
-        return dom_x / dom_xy
+        table = self.embedded.table(relation)
+        return table.x_rank / table.xy_rank
 
     def violations(self, relation: Relation) -> ViolationSet:
         """Evidence = the embedded FD's violations.

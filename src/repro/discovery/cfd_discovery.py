@@ -17,6 +17,9 @@ Three entry points mirroring Section 2.5.3:
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
+
 from ..core.categorical import CFD, CFDTableau, FD, Pattern
 from ..relation.partition_cache import cache_for
 from ..relation.relation import Relation
@@ -25,20 +28,29 @@ from ..runtime.errors import BudgetExhausted, EngineFault, ReproError
 from .common import DiscoveryResult, DiscoveryStats
 
 
-def _guarded_groups(cache, lhs):
-    """``cache.groups`` with fault conversion at the substrate boundary.
+def _guarded(site, read, *args):
+    """``read(*args)`` with fault conversion at the substrate boundary.
 
     A raising grouping kernel (genuine or injected) becomes a typed
     :class:`EngineFault` instead of an anonymous crash mid-mine.
     """
     try:
-        return cache.groups(lhs)
+        return read(*args)
     except ReproError:
         raise
     except Exception as exc:
         raise EngineFault(
-            f"group-by kernel failed on {lhs!r}: {exc}", site="groups"
+            f"grouping kernel failed on {args!r}: {exc}", site=site
         ) from exc
+
+
+def _sub_patterns(items: frozenset) -> list[frozenset]:
+    """Every non-empty sub-pattern of ``items`` (itself included)."""
+    return [
+        frozenset(sub)
+        for k in range(1, len(items) + 1)
+        for sub in combinations(items, k)
+    ]
 
 
 def discover_constant_cfds(
@@ -52,7 +64,14 @@ def discover_constant_cfds(
     A constant CFD is emitted when at least ``min_support`` tuples match
     the LHS constants and *all* of them share one RHS value.  Minimality:
     a pattern is pruned when a sub-pattern (fewer conditioned
-    attributes) already fixes the same RHS attribute.
+    attributes) already fixes the same RHS attribute; the sub-patterns
+    are looked up in a hash set, not scanned.
+
+    The LHS patterns and their supports are the groups of ``X``
+    (``cache.groups``); which of them fix ``A`` is read from the
+    ``(X, {A})`` code table — a group holding one ``A`` code — so no
+    group's members are visited.  The RHS constant is the value at the
+    group's first row.
 
     On ``budget`` exhaustion the constant CFDs mined so far are
     returned with ``stats.complete = False`` — every emitted CFD was
@@ -61,15 +80,22 @@ def discover_constant_cfds(
     stats = DiscoveryStats()
     names = sorted(relation.schema.names())
     found: list[CFD] = []
-    # Groups come from the shared relation-level cache: a profiler run
-    # that already did TANE + CFD mining on this relation reuses them.
+    # Groups come from the shared relation-level cache, and the code
+    # tables from the encoding: a profiler run that already did TANE on
+    # this relation reuses the (X, {A}) tables it built.
     cache = cache_for(relation)
-    hits_before = cache.stats.hits
+    enc = relation.encoding()
+    hits_before = cache.stats.hits + enc.stats.hits
+    index = {a: relation.schema.index_of(a) for a in names}
     columns = {a: relation.column(a) for a in names}
-    # RHS attr -> list of minimal LHS (attr, value) sets already found.
-    minimal: dict[str, list[frozenset[tuple[str, object]]]] = {
-        a: [] for a in names
+    # RHS attr -> the minimal LHS (attr, value) sets already found.
+    minimal: dict[str, set[frozenset[tuple[str, object]]]] = {
+        a: set() for a in names
     }
+
+    def table(x_idxs: tuple[int, ...], a: str):
+        return _guarded("partition", enc.contingency, x_idxs, (index[a],))
+
     budget = resolve_budget(budget)
     with governed(budget):
         try:
@@ -77,30 +103,44 @@ def discover_constant_cfds(
                 stats.levels = size
                 for lhs in combinations(names, size):
                     checkpoint()
-                    groups = _guarded_groups(cache, lhs)
-                    for x_value, indices in groups.items():
+                    x_idxs = tuple(index[x] for x in lhs)
+                    rhs = [a for a in names if a not in lhs]
+                    # Only groups of min_support rows yield candidates:
+                    # an LHS without one is not grouped at all.
+                    if not rhs:
+                        continue
+                    support = table(x_idxs, rhs[0]).x_sizes()
+                    if support.max(initial=0) < min_support:
+                        continue
+                    groups = _guarded("groups", cache.groups, lhs)
+                    # A -> per X group: does it hold one A code?
+                    fixed: dict[str, list[bool]] = {}
+                    for g, (x_value, indices) in enumerate(groups.items()):
                         if len(indices) < min_support:
                             continue
                         items = frozenset(zip(lhs, x_value, strict=True))
-                        for a in names:
-                            if a in lhs:
-                                continue
-                            if any(m <= items for m in minimal[a]):
+                        subs = _sub_patterns(items)
+                        for a in rhs:
+                            if any(sub in minimal[a] for sub in subs):
                                 stats.candidates_pruned += 1
                                 continue
                             stats.candidates_checked += 1
                             checkpoint(candidates=1)
-                            column = columns[a]
-                            values = {column[t] for t in indices}
-                            if len(values) == 1:
-                                rhs_value = next(iter(values))
+                            if a not in fixed:
+                                fixes = table(x_idxs, a)
+                                fixed[a] = (fixes.y_counts() == 1)[
+                                    np.argsort(fixes.x_first)
+                                ].tolist()
+                            if fixed[a][g]:
                                 pattern = dict(items)
-                                pattern[a] = rhs_value
+                                pattern[a] = columns[a][indices[0]]
                                 found.append(CFD(lhs, (a,), pattern))
-                                minimal[a].append(items)
+                                minimal[a].add(items)
         except BudgetExhausted as exc:
             stats.mark_exhausted(exc.reason)
-    stats.partition_cache_hits += cache.stats.hits - hits_before
+    stats.partition_cache_hits += (
+        cache.stats.hits + enc.stats.hits - hits_before
+    )
     return DiscoveryResult(
         dependencies=found, stats=stats, algorithm="CFDMiner"
     )

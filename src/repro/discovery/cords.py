@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from ..core.categorical import SFD
+from ..relation.encoding import ColumnCodes
 from ..relation.relation import Relation
 from .common import DiscoveryResult, DiscoveryStats
 
@@ -44,37 +47,54 @@ def chi_square_statistic(
     Values beyond the ``max_categories`` most frequent ones per column
     are pooled into an "other" bucket — CORDS' robustness device
     against skew and high cardinality.
+
+    The contingency table comes from the relation's ``(col1, col2)``
+    code table: one cell increment per joint value group, not per row.
+    The statistic is then summed in row-major order, exactly as the
+    per-row reference in the tests does, so it is equal bit for bit.
     """
-    counts1 = relation.value_counts(col1)
-    counts2 = relation.value_counts(col2)
-    top1 = sorted(counts1, key=counts1.get, reverse=True)[:max_categories]
-    top2 = sorted(counts2, key=counts2.get, reverse=True)[:max_categories]
-    cat1 = {v: k for k, v in enumerate(top1)}
-    cat2 = {v: k for k, v in enumerate(top2)}
-    other1, other2 = len(cat1), len(cat2)
-    rows = other1 + 1
-    cols = other2 + 1
-    table = [[0.0] * cols for __ in range(rows)]
-    c1 = relation.column(col1)
-    c2 = relation.column(col2)
-    for a, b in zip(c1, c2, strict=True):
-        table[cat1.get(a, other1)][cat2.get(b, other2)] += 1
-    n = len(c1)
+    n = len(relation)
     if n == 0:
         return 0.0, 0
+    enc = relation.encoding()
+    j1 = relation.schema.index_of(col1)
+    j2 = relation.schema.index_of(col2)
+    codes1 = enc.column_codes(j1)
+    codes2 = enc.column_codes(j2)
+    cat1, rows = _categories(codes1, max_categories)
+    cat2, cols = _categories(codes2, max_categories)
+    joint = enc.contingency((j1,), (j2,))
+    cells = np.bincount(
+        cat1[codes1.array()[joint.first]] * cols
+        + cat2[codes2.array()[joint.first]],
+        weights=joint.sizes,
+        minlength=rows * cols,
+    )
+    table = cells.reshape(rows, cols).tolist()
     row_sums = [sum(r) for r in table]
-    col_sums = [sum(table[r][c] for r in range(rows)) for c in range(cols)]
+    col_sums = [sum(c) for c in zip(*table)]
     # Drop empty rows/cols from the dof count.
     live_rows = sum(1 for s in row_sums if s > 0)
     live_cols = sum(1 for s in col_sums if s > 0)
     stat = 0.0
-    for r in range(rows):
-        for c in range(cols):
-            expected = row_sums[r] * col_sums[c] / n
+    for row_sum, row in zip(row_sums, table):
+        for col_sum, cell in zip(col_sums, row):
+            expected = row_sum * col_sum / n
             if expected > 0:
-                stat += (table[r][c] - expected) ** 2 / expected
+                stat += (cell - expected) ** 2 / expected
     dof = max((live_rows - 1) * (live_cols - 1), 1)
     return stat, dof
+
+
+def _categories(codes: ColumnCodes, k: int) -> tuple[np.ndarray, int]:
+    """``(category of each code, number of categories)``: the ``k``
+    most frequent codes in order (ties by first occurrence), then one
+    "other" category for the rest."""
+    counts = np.bincount(codes.array(), minlength=codes.n_distinct)
+    top = np.argsort(-counts, kind="stable")[:k]
+    category = np.full(codes.n_distinct, len(top), dtype=np.int64)
+    category[top] = np.arange(len(top))
+    return category, len(top) + 1
 
 
 def _chi_square_critical(dof: int, alpha: float = 0.01) -> float:
@@ -111,7 +131,8 @@ def cords(
         candidate = SFD((c1,), (c2,), strength=strength_threshold)
         strength = candidate.measure(sample)
         chi, dof = chi_square_statistic(sample, c1, c2)
-        correlated = chi > _chi_square_critical(dof, alpha)
+        # dof is 0 only on an empty relation: nothing is correlated.
+        correlated = dof > 0 and chi > _chi_square_critical(dof, alpha)
         analyses.append(
             ColumnPairAnalysis(c1, c2, strength, chi, dof, correlated)
         )

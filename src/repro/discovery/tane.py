@@ -1,15 +1,22 @@
-"""TANE — level-wise FD and AFD discovery via stripped partitions.
+"""TANE — level-wise FD and AFD discovery over code-table ranks.
 
 Huhtala et al. [53, 54]: traverse the attribute-set lattice level by
-level; for each set ``X`` maintain the stripped partition ``π_X`` and a
-candidate-RHS set ``C+(X)``; an FD ``X \\ {A} -> A`` is valid iff the
-partition error of ``X \\ {A}`` equals that of ``X`` (equivalently,
-equal ranks).  Valid FDs prune the candidate sets; key-sized sets prune
+level; for each set ``X`` maintain a candidate-RHS set ``C+(X)``; an FD
+``X \\ {A} -> A`` is valid iff ``X \\ {A}`` and ``X`` have equal ranks
+(numbers of distinct values, ``|π|`` of the published stripped
+partitions).  Valid FDs prune the candidate sets; key-sized sets prune
 whole branches after emitting their minimal key FDs.
 
 The same traversal discovers AFDs by swapping the validity test for
-``g3(X -> A) <= epsilon`` (Section 2.3.3), computed from the same
-partitions.
+``g3(X -> A) <= epsilon`` (Section 2.3.3).
+
+Both tests read the relation's code table of ``(X \\ {A}, {A})``
+(:meth:`~repro.relation.encoding.RelationEncoding.contingency`): its
+two ranks, and for g3 the sum of each ``X \\ {A}`` group's largest
+subgroup.  No partition is multiplied; the tables are memoized on the
+relation, so the profiler's second pass, CFDMiner and the per-rule
+counts reuse them.  The partition-based test stays in the test suite as
+the reference (``tests/oracles.py``).
 
 The level structure follows the published pseudocode:
 
@@ -25,9 +32,9 @@ Output: all minimal non-trivial FDs with a single RHS attribute
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from ..core.categorical import AFD, FD
-from ..relation.partition import StrippedPartition
-from ..relation.partition_cache import cache_for
 from ..relation.relation import Relation
 from ..runtime.budget import (
     Budget,
@@ -38,6 +45,11 @@ from ..runtime.budget import (
 )
 from ..runtime.errors import BudgetExhausted, EngineFault, ReproError
 from .common import DiscoveryResult, DiscoveryStats, generate_next_level
+
+#: ``valid(lhs, a)``: does ``lhs -> a`` pass the pass's test?
+Valid = Callable[[tuple[str, ...], str], bool]
+#: ``is_key(X)``: is ``X`` a (super)key of the relation?
+IsKey = Callable[[tuple[str, ...]], bool]
 
 
 def tane(
@@ -63,42 +75,46 @@ def tane(
     if max_lhs_size is None:
         max_lhs_size = max(len(names) - 1, 1)
 
-    # Partitions come from the relation-level shared cache, so a second
-    # TANE pass (e.g. the profiler's exact-then-approximate runs), CFD
-    # discovery, or the repair engines reuse everything built here.
-    cache = cache_for(relation)
-    misses_before = cache.stats.misses
-    hits_before = cache.stats.hits
+    enc = relation.encoding()
+    index_of = relation.schema.index_of
+    misses_before = enc.stats.misses
+    hits_before = enc.stats.hits
+    n = len(relation)
 
-    def partition_for(combo: tuple[str, ...]) -> StrippedPartition:
-        """π_combo via the shared cache; substrate faults become typed."""
+    def valid(lhs: tuple[str, ...], a: str) -> bool:
+        """The ``(lhs, {a})`` code table's verdict; substrate faults
+        become typed."""
         try:
-            return cache.partition(combo)
+            table = enc.contingency(
+                tuple(map(index_of, lhs)), (index_of(a),)
+            )
         except ReproError:
             raise
         except Exception as exc:
             raise EngineFault(
-                f"partition substrate failed for {combo!r}: {exc}",
+                f"partition substrate failed for {lhs + (a,)!r}: {exc}",
                 site="partition",
             ) from exc
+        if epsilon == 0.0:
+            return table.x_rank == table.xy_rank
+        return table.g3() <= epsilon
 
-    n = len(relation)
+    def is_key(combo: tuple[str, ...]) -> bool:
+        return enc.distinct_count(tuple(map(index_of, combo))) == n
+
     found: list = []
     budget = resolve_budget(budget)
     with governed(budget):
         try:
-            for a in names:
-                checkpoint()
-                partition_for((a,))
             _tane_traverse(
-                relation, names, max_lhs_size, epsilon, partition_for,
-                found, stats, n,
+                relation, names, max_lhs_size, epsilon, valid, is_key,
+                found, stats,
             )
         except BudgetExhausted as exc:
             stats.mark_exhausted(exc.reason)
 
-    stats.partitions_built += cache.stats.misses - misses_before
-    stats.partition_cache_hits += cache.stats.hits - hits_before
+    stats.partitions_built += enc.stats.misses - misses_before
+    stats.partition_cache_hits += enc.stats.hits - hits_before
     return DiscoveryResult(
         dependencies=found,
         stats=stats,
@@ -111,12 +127,16 @@ def _tane_traverse(
     names: list[str],
     max_lhs_size: int,
     epsilon: float,
-    partition_for,
+    valid: Valid,
+    is_key: IsKey,
     found: list,
     stats: DiscoveryStats,
-    n: int,
 ) -> None:
     """The level-wise traversal; mutates ``found``/``stats`` in place.
+
+    ``valid`` is the candidate test (exact or g3) and ``is_key`` the
+    key test of PRUNE; a minimal key FD is tested with ``valid`` at
+    ``epsilon = 0``, which is the only setting PRUNE emits them in.
 
     Raises :class:`BudgetExhausted` out of a checkpoint when the budget
     runs dry — after first salvaging the current level's unchecked
@@ -141,19 +161,13 @@ def _tane_traverse(
         for pos, combo in enumerate(level):
             try:
                 checkpoint()
-                pi_x = partition_for(combo)
                 for a in sorted(cplus[combo] & set(combo)):
                     lhs = tuple(x for x in combo if x != a)
                     if not lhs:
                         continue
                     stats.candidates_checked += 1
                     checkpoint(candidates=1)
-                    pi_lhs = partition_for(lhs)
-                    if epsilon == 0.0:
-                        valid = pi_lhs.rank == pi_x.rank
-                    else:
-                        valid = pi_lhs.g3_error(pi_x) <= epsilon
-                    if valid:
+                    if valid(lhs, a):
                         if epsilon == 0.0:
                             found.append(FD(lhs, (a,)))
                         else:
@@ -175,12 +189,12 @@ def _tane_traverse(
             if not cplus[combo]:
                 stats.candidates_pruned += 1
                 continue
-            if epsilon == 0.0 and partition_for(combo).rank == n:
+            if epsilon == 0.0 and is_key(combo):
                 # X is a (super)key: emit remaining minimal FDs X -> A.
-                # Minimality is tested directly on the partitions (is
-                # any immediate subset already a determinant of A?) —
-                # the C+-based shortcut of the published pseudocode is
-                # ambiguous once pruned neighbours left the lattice.
+                # Minimality is tested directly (is any immediate
+                # subset already a determinant of A?) — the C+-based
+                # shortcut of the published pseudocode is ambiguous
+                # once pruned neighbours left the lattice.
                 for a in sorted(cplus[combo] - set(combo)):
                     minimal = True
                     for b in combo:
@@ -189,11 +203,7 @@ def _tane_traverse(
                             continue
                         stats.candidates_checked += 1
                         checkpoint(candidates=1)
-                        pi_sub = partition_for(sub)
-                        pi_sub_a = partition_for(
-                            tuple(sorted(set(sub) | {a}))
-                        )
-                        if pi_sub.rank == pi_sub_a.rank:
+                        if valid(sub, a):
                             minimal = False
                             break
                     if minimal:

@@ -195,13 +195,16 @@ def profile_relation(
             f"({counters.pruned_fraction():.0%} pruned)"
         )
 
-    # Both TANE passes, CFDMiner, and the per-rule violation counts all
-    # share the relation-level partition cache; surface its effect.
-    cache = cache_for(relation)
-    if cache.stats.hits:
+    # Both TANE passes, CORDS, CFDMiner and the per-rule violation
+    # counts share the relation's code tables (CFDMiner also its group
+    # dicts); surface their reuse.
+    tables = relation.encoding().stats
+    groups = cache_for(relation).stats
+    hits = tables.hits + groups.hits
+    if hits:
         report.notes.append(
-            f"partition cache: {cache.stats.hits} hits / "
-            f"{cache.stats.misses} builds across discovery passes"
+            f"partition cache: {hits} hits / "
+            f"{tables.misses + groups.misses} builds across discovery passes"
         )
 
     return report

@@ -17,7 +17,13 @@ maps each column to a compact integer vector:
   order, so single-column code order *is* first-occurrence order;
 * attribute sets get a **combined-key encoding** — a radix (mixed-base)
   combination of the per-column codes, re-densified on overflow — so a
-  multi-attribute group key is one machine integer instead of a tuple.
+  multi-attribute group key is one machine integer instead of a tuple;
+* attribute-set pairs ``(X, Y)`` get a **code table**
+  (:class:`Contingency`): the group counts of ``X`` and of ``X ∪ Y``
+  from one count (or, for a wide key space, one sort) of the combined
+  codes.  FD-style discovery and counting read ranks, largest
+  subgroups and group sizes from it instead of building partitions or
+  listing pairs.
 
 Grouping is ``np.unique`` + a stable argsort over the combined codes.
 It is the only grouping path.
@@ -36,6 +42,7 @@ cannot corrupt results.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as _np
@@ -435,6 +442,138 @@ class ColumnCodes:
         return self._sorted
 
 
+def _heads(ordered: Any) -> Any:
+    """Where each run of a sorted code vector starts, plus its end:
+    ``flatnonzero`` of the result bounds the runs."""
+    n = len(ordered)
+    heads = _np.ones(n + 1, dtype=bool)
+    _np.not_equal(ordered[1:], ordered[:-1], out=heads[1:n])
+    return heads
+
+
+def _code_groups(codes: Any, card: int) -> tuple[Any, Any]:
+    """``(first row, size)`` of each distinct code in ``[0, card)``,
+    ascending by code.
+
+    A key space within a few times the row count is counted
+    (``bincount``, first rows by ``minimum.at``); a wider one is sorted.
+    """
+    n = len(codes)
+    if n == 0:
+        return codes[:0], codes[:0]
+    if card <= 4 * n + 1024:
+        counts = _np.bincount(codes)
+        present = _np.flatnonzero(counts)
+        first = _np.full(len(counts), n)
+        _np.minimum.at(first, codes, _np.arange(n))
+        return first[present], counts[present]
+    order = _np.argsort(codes)
+    bounds = _np.flatnonzero(_heads(codes[order]))
+    return (
+        _np.minimum.reduceat(order, bounds[:-1]),
+        bounds[1:] - bounds[:-1],
+    )
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss counters, exposed so discovery stats can report reuse."""
+
+    hits: int = 0
+    misses: int = 0
+
+    def __str__(self) -> str:
+        return f"{self.hits} hits / {self.misses} misses"
+
+
+class Contingency:
+    """The group counts of an attribute set ``X`` and of ``X ∪ Y``.
+
+    Groups are equal-code row sets, numbered in code order: ``X``
+    groups ascending by their combined ``X`` code, ``X ∪ Y`` groups
+    ``X``-major, so the subgroups of one ``X`` group are adjacent.  Per
+    ``X ∪ Y`` group ``h``: ``sizes[h]`` rows, first row ``first[h]``
+    and ``X`` group ``x_of[h]``.  Per ``X`` group ``g``: first row
+    ``x_first[g]`` (so ``argsort(x_first)`` is first-occurrence order).
+    ``x_rank`` and ``xy_rank`` count the groups (TANE's ``|π_X|`` and
+    ``|π_XY|``); ``kept`` sums each ``X`` group's largest ``X ∪ Y``
+    subgroup (the ``max |s|`` of g3).
+
+    Only per-group arrays are kept, never a vector per row.  Read-only:
+    tables are shared through :meth:`RelationEncoding.contingency`.
+    """
+
+    __slots__ = (
+        "n", "x_rank", "xy_rank", "kept", "sizes", "first", "x_of",
+        "x_first", "_x_bounds", "_split_pairs",
+    )
+
+    def __init__(self, x_codes: Any, xy_codes: Any, card: int) -> None:
+        """Tabulate from per-row codes: ``x_codes`` injective on ``X``,
+        ``xy_codes`` injective on ``X ∪ Y``, below ``card`` and ordered
+        ``X``-major (as a radix combination continued from ``x_codes``
+        is)."""
+        self.n = len(xy_codes)
+        self.first, self.sizes = first, sizes = _code_groups(xy_codes, card)
+        x_heads = _heads(x_codes[first])
+        # X group g holds the X ∪ Y groups x_bounds[g]:x_bounds[g + 1].
+        self._x_bounds = _np.flatnonzero(x_heads)
+        self._split_pairs = None
+        x_starts = self._x_bounds[:-1]
+        self.x_of = _np.cumsum(x_heads[:-1]) - 1
+        self.x_rank = len(x_starts)
+        self.xy_rank = len(first)
+        if self.n:
+            self.kept = int(_np.maximum.reduceat(sizes, x_starts).sum())
+            self.x_first = _np.minimum.reduceat(first, x_starts)
+        else:
+            self.kept = 0
+            self.x_first = first
+
+    def y_counts(self):
+        """Per ``X`` group: how many ``Y`` code combinations it holds."""
+        return self._x_bounds[1:] - self._x_bounds[:-1]
+
+    def x_sizes(self):
+        """Per ``X`` group: its number of rows."""
+        if not self.n:
+            return self.sizes
+        return _np.add.reduceat(self.sizes, self._x_bounds[:-1])
+
+    def subgroups(self, groups: Any):
+        """The ``X ∪ Y`` groups inside the ``X`` groups ``groups``
+        (ascending indices), ascending."""
+        starts = self._x_bounds[groups]
+        ends = self._x_bounds[groups + 1]
+        if len(groups) == 1:
+            return _np.arange(starts[0], ends[0])
+        lengths = ends - starts
+        return _np.repeat(ends - _np.cumsum(lengths), lengths) + _np.arange(
+            lengths.sum()
+        )
+
+    def g3(self) -> float:
+        """``g3(X -> Y)``: the share of rows outside each ``X`` group's
+        largest ``X ∪ Y`` subgroup (0 on the empty relation)."""
+        return (self.n - self.kept) / self.n if self.n else 0.0
+
+    def disagreeing_pairs(self, selected: Any = None) -> int:
+        """Row pairs equal on ``X`` but not on ``Y``: the pairs within
+        ``X`` groups minus those within ``X ∪ Y`` groups, over the ``X``
+        groups ``selected`` keeps (a boolean mask or ascending indices;
+        all by default)."""
+        if self._split_pairs is None:  # per X group, built on first use
+            pairs = self.sizes * (self.sizes - 1) // 2
+            if self.n:
+                x_sizes = self.x_sizes()
+                pairs = x_sizes * (x_sizes - 1) // 2 - _np.add.reduceat(
+                    pairs, self._x_bounds[:-1]
+                )
+            self._split_pairs = pairs
+        pairs = self._split_pairs
+        return int(pairs.sum() if selected is None else pairs[selected].sum())
+
+
 class RelationEncoding:
     """Lazily built dictionary encoding of a whole relation.
 
@@ -446,7 +585,7 @@ class RelationEncoding:
 
     __slots__ = (
         "_columns", "_n", "_per_column", "_combined", "_distinct",
-        "_groups", "_keyed", "_stripped",
+        "_groups", "_keyed", "_stripped", "_tables", "stats",
     )
 
     def __init__(self, columns: Sequence[Sequence[Value]], n: int) -> None:
@@ -461,6 +600,9 @@ class RelationEncoding:
         self._groups: dict[tuple[int, ...], list] = {}
         self._keyed: dict[tuple[int, ...], list] = {}
         self._stripped: dict[tuple, tuple] = {}
+        #: (X, Y) -> code table, and its hit/build counts.
+        self._tables: dict[tuple, Contingency] = {}
+        self.stats = CacheStats()
 
     def extended(
         self, columns: Sequence[Sequence[Value]], n: int,
@@ -537,18 +679,24 @@ class RelationEncoding:
         for multi-attribute sets; use the grouping helpers below.
         """
         cached = self._combined.get(idxs)
-        if cached is not None:
-            return cached
-        first = self.column_codes(idxs[0])
-        if len(idxs) == 1:
-            combined = first.array()
-            self._combined[idxs] = combined
-            return combined
-        acc = first.array().copy()
-        card = max(first.n_distinct, 1)
-        for j in idxs[1:]:
+        if cached is None:
+            cached, __ = self._radix(idxs)
+            self._combined[idxs] = cached
+        return cached
+
+    def _radix(
+        self, idxs: tuple[int, ...], acc: Any = None, card: int = 1
+    ) -> tuple[Any, int]:
+        """``(codes, cardinality bound)`` of ``idxs``, continuing the
+        radix combination ``acc`` (no columns: one code for every row).
+        Re-densifying keeps code order, so the result is ordered by the
+        columns of ``acc`` first.  Not memoized."""
+        for j in idxs:
             cc = self.column_codes(j)
             radix = max(cc.n_distinct, 1)
+            if acc is None:
+                acc, card = cc.array(), radix
+                continue
             if card * radix > _MAX_RADIX:
                 __, acc = _np.unique(acc, return_inverse=True)
                 acc = acc.astype(_np.int64, copy=False)
@@ -557,8 +705,34 @@ class RelationEncoding:
                     raise OverflowError("combined key space too large")
             acc = acc * radix + cc.array()
             card *= radix
-        self._combined[idxs] = acc
-        return acc
+        if acc is None:
+            acc = _np.zeros(self._n, dtype=_np.int64)
+        return acc, card
+
+    def contingency(
+        self, x_idxs: Sequence[int], y_idxs: Sequence[int]
+    ) -> Contingency:
+        """The code table of ``X`` and ``X ∪ Y``, memoized per set pair.
+
+        Column order and repeats do not matter, and ``Y`` columns inside
+        ``X`` are dropped.  The combined codes are not memoized: only
+        the table's per-group arrays are kept, and it records both ranks
+        for :meth:`distinct_count`.  Hits and builds are counted in
+        :attr:`stats`.
+        """
+        x = tuple(sorted(set(x_idxs)))
+        y = tuple(sorted(set(y_idxs).difference(x)))
+        table = self._tables.get((x, y))
+        if table is not None:
+            self.stats.hits += 1
+            return table
+        self.stats.misses += 1
+        x_codes, card = self._radix(x)
+        table = Contingency(x_codes, *self._radix(y, x_codes, card))
+        self._tables[(x, y)] = table
+        self._distinct[x] = table.x_rank
+        self._distinct[tuple(sorted(x + y))] = table.xy_rank
+        return table
 
     # -- grouping primitives -------------------------------------------
 
@@ -642,33 +816,22 @@ class RelationEncoding:
         self._stripped[key] = classes
         return classes
 
-    def distinct_count(self, idxs: tuple[int, ...]) -> int:
-        """Number of distinct value combinations over the attribute set."""
-        cached = self._distinct.get(idxs)
+    def distinct_count(self, idxs: Sequence[int]) -> int:
+        """Number of distinct value combinations over the attribute set.
+
+        Memoized per column set (order and repeats ignored), and
+        recorded by every :meth:`contingency` build.
+        """
+        key = tuple(sorted(set(idxs)))
+        cached = self._distinct.get(key)
         if cached is not None:
             return cached
-        if len(idxs) == 1:
-            count = self.column_codes(idxs[0]).n_distinct
+        if len(key) == 1:
+            count = self.column_codes(key[0]).n_distinct
         else:
-            count = int(_np.unique(self.combined_codes(idxs)).size)
-        self._distinct[idxs] = count
+            count = int(_np.unique(self._radix(key)[0]).size)
+        self._distinct[key] = count
         return count
-
-    def agreeing_pairs(self, idxs: tuple[int, ...], rows: Any = None) -> int:
-        """Number of row pairs equal on every column of ``idxs``.
-
-        ``Σ c(c−1)/2`` over the sizes ``c`` of the equal-code groups of
-        :meth:`combined_codes`, restricted to the ``rows`` index vector
-        when one is given.  No pair is listed: this is the counting
-        kernel behind the FD family's violation counts.
-        """
-        codes = self.combined_codes(idxs)
-        if rows is not None:
-            codes = codes[rows]
-        if codes.size < 2:
-            return 0
-        __, sizes = _np.unique(codes, return_counts=True)
-        return int((sizes * (sizes - 1) // 2).sum())
 
     def distinct_first_rows(self, idxs: tuple[int, ...]) -> list[int]:
         """First-occurrence row of each distinct combination, ascending.

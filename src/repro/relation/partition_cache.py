@@ -1,11 +1,12 @@
 """A relation-level cache of stripped partitions and group tables.
 
-Before this module existed, every discovery algorithm re-derived its
-groupings from scratch: TANE built its own partition dict per call, CFD
-discovery re-grouped per LHS candidate, the detection/repair engines
-re-grouped per rule, and the CLI profiler — which runs TANE twice
-(exact + approximate) plus CFDMiner on the *same* relation — paid for
-everything two or three times over.
+Discovery no longer builds partitions: TANE, CORDS and CFDMiner read
+ranks and group counts from the encoding's code tables
+(:meth:`~repro.relation.encoding.RelationEncoding.contingency`), which
+are memoized per relation the same way.  This cache keeps the
+row-listing forms for the callers that need member rows: CFDMiner's
+LHS patterns, the repair engine's violating groups, the plan's group
+slabs, and the partition-based TANE reference in the tests.
 
 :class:`PartitionCache` memoizes, per relation instance:
 
@@ -29,23 +30,12 @@ them as read-only.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from collections.abc import Sequence
 
+from .encoding import CacheStats
 from .partition import StrippedPartition
 from .relation import Relation, Row
 from .schema import Attribute, as_attribute_names
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters, exposed so discovery stats can report reuse."""
-
-    hits: int = 0
-    misses: int = 0
-
-    def __str__(self) -> str:
-        return f"{self.hits} hits / {self.misses} misses"
 
 
 class PartitionCache:
@@ -64,12 +54,10 @@ class PartitionCache:
     ) -> StrippedPartition:
         """``π_X``, built on first use and shared afterwards.
 
-        Single attributes build directly (from the dictionary codes
-        when the encoded substrate is on); multi-attribute partitions
-        compose incrementally via the (cached) sub-partitions' stamped
-        ``product``, as classic TANE does — measured cheaper than a
-        fresh combined-key sort even on the encoded path, since the
-        sub-partitions are already lattice neighbours.
+        Single attributes build directly from the dictionary codes;
+        multi-attribute partitions compose incrementally via the
+        (cached) sub-partitions' stamped ``product``, as classic TANE
+        does.
         """
         key = tuple(sorted(as_attribute_names(attributes)))
         pi = self._partitions.get(key)

@@ -9,9 +9,14 @@ load-bearing boundaries misbehave on demand:
 * ``"metric"`` — :meth:`repro.metrics.base.Metric.distance`: injectable
   latency, raised exceptions, and *corrupted* return values (negative
   distances, NaN) that a correct engine must detect and reject;
-* ``"partition"`` / ``"groups"`` — the shared
-  :class:`~repro.relation.partition_cache.PartitionCache` access paths
-  every partition-based algorithm (TANE, CFDMiner, repair) sits on.
+* ``"partition"`` — the grouping substrate of FD-style discovery: the
+  encoding's code tables
+  (:meth:`~repro.relation.encoding.RelationEncoding.contingency`, what
+  TANE reads) and
+  :meth:`~repro.relation.partition_cache.PartitionCache.partition`;
+* ``"groups"`` — the memoized group dicts of
+  :meth:`~repro.relation.partition_cache.PartitionCache.groups`
+  (CFDMiner's LHS patterns, repair).
 
 Faults are installed by monkey-patching the class methods for the
 dynamic extent of a ``with FaultInjector(...):`` block and always
@@ -188,11 +193,13 @@ class FaultInjector:
 
     def __enter__(self) -> "FaultInjector":
         from ..metrics.base import Metric
+        from ..relation.encoding import RelationEncoding
         from ..relation.partition_cache import PartitionCache
 
         injector = self
         real_distance = Metric.distance
         real_partition = PartitionCache.partition
+        real_contingency = RelationEncoding.contingency
         real_groups = PartitionCache.groups
 
         def distance(self: Any, a: Any, b: Any) -> Any:
@@ -207,6 +214,12 @@ class FaultInjector:
                 return hit
             return real_partition(self, attributes)
 
+        def contingency(self: Any, x_idxs: Any, y_idxs: Any) -> Any:
+            hit = injector._intercept("partition")
+            if hit is not _REAL:  # pragma: no cover - corrupt unsupported
+                return hit
+            return real_contingency(self, x_idxs, y_idxs)
+
         def groups(self: Any, attributes: Any) -> Any:
             hit = injector._intercept("groups")
             if hit is not _REAL:  # pragma: no cover - corrupt unsupported
@@ -215,6 +228,7 @@ class FaultInjector:
 
         self._patch(Metric, "distance", distance)
         self._patch(PartitionCache, "partition", partition)
+        self._patch(RelationEncoding, "contingency", contingency)
         self._patch(PartitionCache, "groups", groups)
         return self
 

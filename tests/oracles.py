@@ -6,13 +6,16 @@ dictionary codes (``repro.relation.encoding``), a scan of every tuple
 pair instead of pruned kernels (``repro.plan``), a row-by-row CSV read
 (two of them, to infer column types) instead of the one-pass columnar
 loader (``repro.relation.io``), a CFD pattern matched row by row
-instead of through codebooks, and the skip decision with every rule
+instead of through codebooks, the skip decision with every rule
 compared against every other instead of by family bucket
-(``repro.analysis.cross_rule``).  They share nothing
-with the paths they check except each notation's own predicate
+(``repro.analysis.cross_rule``), and FD-style discovery and counting
+over value groups and partitions instead of the encoding's code tables
+(TANE, CORDS, CFDMiner, FD listing, g3, CFD counts).  They share
+nothing with the paths they check except each notation's own predicate
 (``pair_violation``, ``Predicate.evaluate``, the LHS/RHS similarity
-tests, ``CFD.matches_lhs``, the pairwise implication tests), which *is*
-the definition the fast paths re-verify against.
+tests, ``CFD.matches_lhs``, ``FD._group_violations``, the pairwise
+implication tests) and TANE's lattice walk, which *is* the definition
+the fast paths re-verify against.
 
 Nothing here is fast, and nothing in ``src/`` calls it: the oracles
 exist so a fast path that silently loses or invents answers fails a
@@ -46,12 +49,16 @@ from repro.core.heterogeneous.constraints import Interval
 from repro.core.numerical.dc import ALPHA, BETA, DC
 from repro.core.implication import implies as fd_implies
 from repro.core.numerical.sd import SD
+from repro.core.violation import Violation
+from repro.discovery.common import DiscoveryStats
+from repro.discovery.tane import _tane_traverse
 from repro.relation import (
     Attribute,
     AttributeType,
     Relation,
     Schema,
     StrippedPartition,
+    cache_for,
 )
 from repro.runtime.errors import InputError
 
@@ -244,6 +251,167 @@ def holds(dep: Any, relation: Relation) -> bool:
 def cfd_matching_indices(cfd: CFD, relation: Relation) -> list[int]:
     """The tuples matching ``t_p`` on the LHS, one row at a time."""
     return [i for i in range(len(relation)) if cfd.matches_lhs(relation, i)]
+
+
+def cfd_violation_count(cfd: CFD, relation: Relation) -> int:
+    """``len(cfd.violations(relation))`` from the row scan: matching
+    tuples failing a constant RHS entry, plus the matching pairs equal
+    on the LHS and unequal on the RHS."""
+    matching = cfd_matching_indices(cfd, relation)
+    failing = sum(
+        1 for i in matching
+        if not all(
+            cfd.pattern.entry(a).matches(relation.value_at(i, a))
+            for a in cfd.rhs
+        )
+    )
+    sub = relation.take(matching)
+    return failing + sum(
+        len(members) * (len(members) - 1) // 2
+        - sum(len(m) * (len(m) - 1) // 2 for m in by_y.values())
+        for members, by_y in _split_groups(sub, cfd.lhs, cfd.rhs)
+    )
+
+
+# -- FD-style counting and discovery -----------------------------------------
+
+
+def _split_groups(
+    relation: Relation, lhs: Sequence[str], rhs: Sequence[str]
+) -> list[tuple[list[int], dict[Row, list[int]]]]:
+    """Each equal-``X`` group with its members split by ``Y``-value,
+    both in first-occurrence order."""
+    rhs_cols = [relation.column(a) for a in rhs]
+    out = []
+    for members in group_by(relation, lhs).values():
+        by_y: dict[Row, list[int]] = {}
+        for t in members:
+            by_y.setdefault(tuple(col[t] for col in rhs_cols), []).append(t)
+        out.append((members, by_y))
+    return out
+
+
+def fd_violations(fd: FD, relation: Relation) -> list[Violation]:
+    """Every equal-``X`` group split by ``Y``, in first-occurrence
+    order: the listing ``FD.violations`` must reproduce."""
+    label = fd.label()
+    rhs_cols = [relation.column(a) for a in fd.rhs]
+    out: list[Violation] = []
+    for x_value, members in group_by(relation, fd.lhs).items():
+        out.extend(fd._group_violations(label, x_value, members, rhs_cols))
+    return out
+
+
+def fd_holds(fd: FD, relation: Relation) -> bool:
+    """Every equal-``X`` group holds one ``Y``-value."""
+    return all(len(by_y) == 1 for __, by_y in _split_groups(
+        relation, fd.lhs, fd.rhs
+    ))
+
+
+def g3_error(fd: FD, relation: Relation) -> float:
+    """The share of rows outside each ``X`` group's largest ``Y``
+    subgroup."""
+    n = len(relation)
+    if n == 0:
+        return 0.0
+    kept = sum(
+        max(len(m) for m in by_y.values())
+        for __, by_y in _split_groups(relation, fd.lhs, fd.rhs)
+    )
+    return (n - kept) / n
+
+
+def tane(
+    relation: Relation, max_lhs_size: int | None = None, epsilon: float = 0.0
+) -> list[Any]:
+    """TANE's lattice walk with the published tests on stripped
+    partitions: equal ranks, or ``g3`` from ``π_X`` and ``π_{X ∪ A}``."""
+    names = sorted(relation.schema.names())
+    if max_lhs_size is None:
+        max_lhs_size = max(len(names) - 1, 1)
+    cache = cache_for(relation)
+
+    def valid(lhs: tuple[str, ...], a: str) -> bool:
+        pi_lhs = cache.partition(lhs)
+        pi_x = cache.partition(lhs + (a,))
+        if epsilon == 0.0:
+            return pi_lhs.rank == pi_x.rank
+        return pi_lhs.g3_error(pi_x) <= epsilon
+
+    def is_key(combo: tuple[str, ...]) -> bool:
+        return cache.partition(combo).rank == len(relation)
+
+    found: list[Any] = []
+    _tane_traverse(
+        relation, names, max_lhs_size, epsilon, valid, is_key, found,
+        DiscoveryStats(),
+    )
+    return found
+
+
+def chi_square_statistic(
+    relation: Relation, col1: str, col2: str, max_categories: int = 20
+) -> tuple[float, int]:
+    """CORDS' chi-square statistic with one table increment per row."""
+    counts1 = relation.value_counts(col1)
+    counts2 = relation.value_counts(col2)
+    top1 = sorted(counts1, key=counts1.get, reverse=True)[:max_categories]
+    top2 = sorted(counts2, key=counts2.get, reverse=True)[:max_categories]
+    cat1 = {v: k for k, v in enumerate(top1)}
+    cat2 = {v: k for k, v in enumerate(top2)}
+    other1, other2 = len(cat1), len(cat2)
+    rows = other1 + 1
+    cols = other2 + 1
+    table = [[0.0] * cols for __ in range(rows)]
+    c1 = relation.column(col1)
+    c2 = relation.column(col2)
+    for a, b in zip(c1, c2, strict=True):
+        table[cat1.get(a, other1)][cat2.get(b, other2)] += 1
+    n = len(c1)
+    if n == 0:
+        return 0.0, 0
+    row_sums = [sum(r) for r in table]
+    col_sums = [sum(table[r][c] for r in range(rows)) for c in range(cols)]
+    live_rows = sum(1 for s in row_sums if s > 0)
+    live_cols = sum(1 for s in col_sums if s > 0)
+    stat = 0.0
+    for r in range(rows):
+        for c in range(cols):
+            expected = row_sums[r] * col_sums[c] / n
+            if expected > 0:
+                stat += (table[r][c] - expected) ** 2 / expected
+    dof = max((live_rows - 1) * (live_cols - 1), 1)
+    return stat, dof
+
+
+def discover_constant_cfds(
+    relation: Relation, min_support: int = 2, max_lhs_size: int = 2
+) -> list[CFD]:
+    """CFDMiner with a per-member RHS test and a linear scan of the
+    minimal patterns found so far."""
+    names = sorted(relation.schema.names())
+    found: list[CFD] = []
+    minimal: dict[str, list[frozenset[tuple[str, object]]]] = {
+        a: [] for a in names
+    }
+    for size in range(1, max_lhs_size + 1):
+        for lhs in combinations(names, size):
+            for x_value, indices in group_by(relation, lhs).items():
+                if len(indices) < min_support:
+                    continue
+                items = frozenset(zip(lhs, x_value, strict=True))
+                for a in names:
+                    if a in lhs or any(m <= items for m in minimal[a]):
+                        continue
+                    column = relation.column(a)
+                    values = {column[t] for t in indices}
+                    if len(values) == 1:
+                        pattern = dict(items)
+                        pattern[a] = next(iter(values))
+                        found.append(CFD(lhs, (a,), pattern))
+                        minimal[a].append(items)
+    return found
 
 
 # -- the skip decision -------------------------------------------------------

@@ -114,12 +114,15 @@ class TestProfileDeadline:
 
 
 def test_cli_import_skips_graph_and_discovery_modules():
-    """``repro check`` needs neither networkx nor the discovery stack."""
+    """``repro check`` needs neither networkx nor the discovery stack,
+    nor the incremental engine, the quality engines or the datasets
+    (``repro`` resolves its top-level names from those on first use)."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     code = (
         "import sys, repro.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
-        " or m.startswith(('repro.discovery', 'repro.profiler'))))"
+        " or m.startswith(('repro.discovery', 'repro.profiler',"
+        " 'repro.quality', 'repro.incremental', 'repro.datasets'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
