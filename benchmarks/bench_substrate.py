@@ -36,20 +36,6 @@ def test_partition_build(benchmark, wide):
     assert pi.n == 2000
 
 
-def test_partition_product(benchmark, wide):
-    pi_0 = StrippedPartition.from_relation(wide, ["A0"])
-    pi_1 = StrippedPartition.from_relation(wide, ["A1"])
-    product = benchmark(lambda: pi_0.product(pi_1))
-    assert product == StrippedPartition.from_relation(wide, ["A0", "A1"])
-
-
-def test_g3_from_partitions(benchmark, wide):
-    pi_x = StrippedPartition.from_relation(wide, ["A0"])
-    pi_xy = StrippedPartition.from_relation(wide, ["A0", "A1"])
-    err = benchmark(lambda: pi_x.g3_error(pi_xy))
-    assert 0.0 <= err <= 1.0
-
-
 def test_group_by(benchmark, wide):
     groups = benchmark(lambda: wide.group_by(["A0", "A1"]))
     assert sum(len(g) for g in groups.values()) == len(wide)

@@ -132,10 +132,13 @@ class CFD(Dependency):
             entry = self.pattern.entry(a)
             if entry.is_wildcard:
                 continue
-            codes = enc.column_codes(relation.schema.index_of(a))
+            j = relation.schema.index_of(a)
+            codes = enc.column_codes(j)
             hits = _matching_codes(entry, codes)
             if rows is None and len(hits) == 1:
-                rows = np.asarray(codes.groups()[hits[0]], dtype=np.int64)
+                # A column's groups come in code order.
+                members = enc.group_table((j,))[hits[0]][1]
+                rows = np.asarray(members, dtype=np.int64)
                 continue
             mask = np.zeros(codes.n_distinct, dtype=bool)
             mask[hits] = True

@@ -204,16 +204,19 @@ class FD(PairwiseDependency):
     def violating_groups(
         self, relation: Relation
     ) -> dict[tuple, list[int]]:
-        """Equal-``X`` groups containing more than one ``Y``-value."""
-        out: dict[tuple, list[int]] = {}
-        rhs_cols = self._rhs_columns(relation)
-        for x_value, indices in relation.cached_group_by(self.lhs).items():
-            y_values = {
-                tuple(col[t] for col in rhs_cols) for t in indices
-            }
-            if len(y_values) > 1:
-                out[x_value] = list(indices)
-        return out
+        """Equal-``X`` groups containing more than one ``Y``-value.
+
+        The code table names them (its ``X`` groups in first-occurrence
+        order line up with the group dict's); no ``Y``-value is read.
+        """
+        table = self.table(relation)
+        split = (table.y_counts() > 1)[np.argsort(table.x_first)].tolist()
+        groups = relation.cached_group_by(self.lhs).items()
+        return {
+            x_value: list(indices)
+            for (x_value, indices), bad in zip(groups, split, strict=True)
+            if bad
+        }
 
     def keeps(self, relation: Relation) -> list[int]:
         """A maximum subset of tuple indices on which the FD holds.

@@ -132,7 +132,7 @@ def discover_constant_cfds(
                                     np.argsort(fixes.x_first)
                                 ].tolist()
                             if fixed[a][g]:
-                                pattern = dict(items)
+                                pattern = dict(zip(lhs, x_value, strict=True))
                                 pattern[a] = columns[a][indices[0]]
                                 found.append(CFD(lhs, (a,), pattern))
                                 minimal[a].add(items)

@@ -25,9 +25,11 @@ class DiscoveryStats:
     candidates_checked: int = 0
     candidates_pruned: int = 0
     levels: int = 0
+    #: Code tables built (``RelationEncoding.contingency`` misses).
     partitions_built: int = 0
-    #: Partitions/groupings served from the shared relation-level cache
-    #: instead of being rebuilt (see ``repro.relation.partition_cache``).
+    #: Code tables and group dicts served from the relation's memos
+    #: instead of being rebuilt (``RelationEncoding.contingency`` and
+    #: ``repro.relation.partition_cache``).
     partition_cache_hits: int = 0
     #: ``False`` when the run stopped on a resource budget: the result
     #: is an honest partial answer, not the full minimal set.

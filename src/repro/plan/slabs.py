@@ -50,14 +50,15 @@ class ExecutionContext:
         """The full raw column of ``attr``."""
         return self._source.column(attr)  # type: ignore[no-any-return]
 
-    def group_rows(self, attrs: tuple[str, ...]) -> Any:
-        """Member-row lists of the equal-value partition over ``attrs``.
+    def group_rows(self, attrs: tuple[str, ...]) -> list[list[int]]:
+        """Member-row lists of the equal-value groups over ``attrs``.
 
-        First-occurrence order, ascending members — the shared partition
-        cache of the snapshot.  Raises :class:`TypeError` when a column
-        holds unhashable cells (callers fall back to scanning).
+        First-occurrence order, ascending members — the encoding's
+        group table.  Raises :class:`TypeError` when a column holds
+        unhashable cells (callers fall back to scanning).
         """
-        return self._source.cached_group_by(attrs).values()
+        idxs = tuple(self.schema.index_of(a) for a in attrs)
+        return [members for __, members in self._enc.group_table(idxs)]
 
     # -- vector-kernel primitives --------------------------------------
 

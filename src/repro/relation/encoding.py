@@ -3,7 +3,7 @@
 Every discovery algorithm in the family tree ultimately reduces to a
 handful of primitives over the :class:`~repro.relation.relation.Relation`
 column-store — grouping equal ``X``-values, counting distinct values,
-intersecting partitions, diffing tuple pairs.  Run over Python *value
+tabulating group counts, diffing tuple pairs.  Run over Python *value
 tuples*, those primitives pay interpreter overhead (attribute
 resolution, tuple allocation, generic ``__eq__``) per cell.
 
@@ -25,8 +25,10 @@ maps each column to a compact integer vector:
   subgroups and group sizes from it instead of building partitions or
   listing pairs.
 
-Grouping is ``np.unique`` + a stable argsort over the combined codes.
-It is the only grouping path.
+Grouping is one stable argsort over the combined codes, memoized per
+attribute set as the **group table** (:meth:`RelationEncoding.group_table`):
+the one listing of each group's member rows, which ``group_by``,
+stripped partitions and the plan's group kernel all read.
 
 Parity contract (enforced by ``tests/test_encoding_parity.py``): for
 every primitive the encoded path returns results *equal* to the
@@ -178,8 +180,7 @@ class ColumnCodes:
 
     __slots__ = (
         "values", "n_distinct", "self_unequal", "numeric_safe", "none_code",
-        "_array", "_codebook", "_groups", "_floats", "_valid", "_sorted",
-        "_kind",
+        "_array", "_codebook", "_floats", "_valid", "_sorted", "_kind",
     )
 
     def __init__(self, column: Sequence[Value]) -> None:
@@ -239,7 +240,6 @@ class ColumnCodes:
         self.none_code = -1
         self.self_unequal = False
         self.numeric_safe = True
-        self._groups: list[list[int]] | None = None
         self._floats = None
         self._valid = None
         self._sorted = None
@@ -289,11 +289,9 @@ class ColumnCodes:
         ``column`` must agree with the encoded column on every row below
         ``start`` (the append-only delta contract); with no rows past
         ``start`` this codebook itself is returned.  Existing codes are
-        memcpy-shared, new values extend the codebook in first-occurrence
-        order — preserving the parity-critical invariant that code order
-        equals first-occurrence order — and the per-code member lists,
-        if built, are copy-on-append, so untouched groups stay shared
-        with the parent.
+        memcpy-shared, and new values extend the codebook in
+        first-occurrence order — preserving the parity-critical invariant
+        that code order equals first-occurrence order.
         """
         if start == len(column):
             return self
@@ -308,19 +306,6 @@ class ColumnCodes:
             codebook,
             list(codebook),
         )
-        if self._groups is not None:
-            groups = list(self._groups)
-            grown: set[int] = set()
-            for i, code in enumerate(tail_codes, start):
-                if code == len(groups):
-                    groups.append([i])
-                    grown.add(code)
-                elif code in grown:
-                    groups[code].append(i)
-                else:
-                    groups[code] = groups[code] + [i]
-                    grown.add(code)
-            out._groups = groups
         out.n_distinct = self.n_distinct
         out.none_code = self.none_code
         out.self_unequal = self.self_unequal
@@ -376,25 +361,6 @@ class ColumnCodes:
     def array(self):
         """The codes as an ``int64`` numpy vector."""
         return self._array
-
-    def groups(self) -> list[list[int]]:
-        """Member rows per code, in code (= first-occurrence) order.
-
-        Built on first use from one stable argsort of the codes, so
-        equal codes stay in ascending row order; cached.  Callers must
-        treat the lists as read-only.
-        """
-        if self._groups is None:
-            rows = _np.argsort(self._array, kind="stable").tolist()
-            sizes = _np.bincount(self._array, minlength=self.n_distinct)
-            ends = _np.cumsum(sizes)
-            self._groups = [
-                rows[s:e]
-                for s, e in zip(
-                    (ends - sizes).tolist(), ends.tolist(), strict=True
-                )
-            ]
-        return self._groups
 
     def valid_array(self):
         """Boolean vector: ``True`` where the value is not ``None``."""
@@ -585,7 +551,7 @@ class RelationEncoding:
 
     __slots__ = (
         "_columns", "_n", "_per_column", "_combined", "_distinct",
-        "_groups", "_keyed", "_stripped", "_tables", "stats",
+        "_groups", "_tables", "stats",
     )
 
     def __init__(self, columns: Sequence[Sequence[Value]], n: int) -> None:
@@ -595,11 +561,9 @@ class RelationEncoding:
         #: column-index tuple -> combined ``int64`` codes.
         self._combined: dict[tuple[int, ...], Any] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
-        #: memoized group tables / normalized stripped classes — the
-        #: relation is immutable, so these never need invalidation.
+        #: column-index tuple -> group table; the relation is
+        #: immutable, so these never need invalidation.
         self._groups: dict[tuple[int, ...], list] = {}
-        self._keyed: dict[tuple[int, ...], list] = {}
-        self._stripped: dict[tuple, tuple] = {}
         #: (X, Y) -> code table, and its hit/build counts.
         self._tables: dict[tuple, Contingency] = {}
         self.stats = CacheStats()
@@ -741,80 +705,39 @@ class RelationEncoding:
     ) -> list[tuple[int, list[int]]]:
         """``(first_row, member_rows)`` per group, first-occurrence order.
 
-        Member rows are ascending, matching the append order of a
-        value-tuple dict grouping.  Memoized per attribute set —
+        One stable argsort over the combined codes: equal codes stay in
+        row order, so each run is ascending (the append order of a
+        value-tuple dict grouping) and its head is the group's first
+        row.  A single column's groups therefore come in code order.
+        Memoized per attribute set — the one listing of member rows;
         callers must treat the table and its lists as read-only.
         """
         cached = self._groups.get(idxs)
         if cached is not None:
             return cached
-        if len(idxs) == 1:
-            # Per-code member lists come in code (= first-occurrence)
-            # order, and carry over to extended codebooks once built.
-            table = [(m[0], m) for m in self.column_codes(idxs[0]).groups()]
-            self._groups[idxs] = table
-            return table
         codes = self.combined_codes(idxs)
-        if self._n == 0:
-            table: list[tuple[int, list[int]]] = []
-        else:
-            # One stable argsort over the combined codes; equal codes
-            # stay in row order, so each slice is already ascending and
-            # its head is the group's first-occurrence row.
-            order = _np.argsort(codes, kind="stable")
-            ordered = codes[order]
-            bounds = (_np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-            starts = [0, *bounds]
-            ends = [*bounds, self._n]
-            rows = order.tolist()
-            table = [(rows[s], rows[s:e]) for s, e in zip(starts, ends, strict=True)]
-            table.sort(key=lambda group: group[0])
+        order = _np.argsort(codes, kind="stable")
+        bounds = _np.flatnonzero(_heads(codes[order])).tolist()
+        rows = order.tolist()
+        table = [
+            (rows[s], rows[s:e])
+            for s, e in zip(bounds[:-1], bounds[1:], strict=True)
+        ]
+        table.sort(key=lambda group: group[0])
         self._groups[idxs] = table
         return table
 
-    def keyed_table(
-        self, idxs: tuple[int, ...]
-    ) -> list[tuple[tuple, list[int]]]:
-        """``(key_tuple, member_rows)`` per group, first-occurrence order.
-
-        Keys are decoded from the raw column values at each group's
-        first row — exactly the tuples a value-tuple dict grouping
-        inserts —
-        and the decode is memoized alongside the group table.  Callers
-        must copy the member lists before mutating.
-        """
-        cached = self._keyed.get(idxs)
-        if cached is not None:
-            return cached
-        cols = [self._columns[j] for j in idxs]
-        keyed = [
-            (tuple(col[first] for col in cols), members)
-            for first, members in self.group_table(idxs)
-        ]
-        self._keyed[idxs] = keyed
-        return keyed
-
     def stripped_classes(
-        self, idxs: tuple[int, ...], min_size: int = 2
+        self, idxs: tuple[int, ...]
     ) -> tuple[tuple[int, ...], ...]:
-        """Groups of size >= ``min_size``, keys skipped entirely.
-
-        This is the partition-construction kernel: no key decoding, no
-        singleton materialization.  Classes come back normalized —
-        ascending member tuples, first-occurrence order — and memoized,
-        so repeated partition builds are dictionary hits.
-        """
-        key = (idxs, min_size)
-        cached = self._stripped.get(key)
-        if cached is not None:
-            return cached
-        classes = tuple(
+        """The group table's groups of two or more rows, as ascending
+        member tuples in first-occurrence order (a stripped partition's
+        classes)."""
+        return tuple(
             tuple(members)
             for __, members in self.group_table(idxs)
-            if len(members) >= min_size
+            if len(members) >= 2
         )
-        self._stripped[key] = classes
-        return classes
 
     def distinct_count(self, idxs: Sequence[int]) -> int:
         """Number of distinct value combinations over the attribute set.

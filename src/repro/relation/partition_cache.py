@@ -1,12 +1,15 @@
-"""A relation-level cache of stripped partitions and group tables.
+"""A relation-level cache of stripped partitions and group dicts.
 
-Discovery no longer builds partitions: TANE, CORDS and CFDMiner read
+Discovery does not build partitions: TANE, CORDS and CFDMiner read
 ranks and group counts from the encoding's code tables
 (:meth:`~repro.relation.encoding.RelationEncoding.contingency`), which
-are memoized per relation the same way.  This cache keeps the
-row-listing forms for the callers that need member rows: CFDMiner's
-LHS patterns, the repair engine's violating groups, the plan's group
-slabs, and the partition-based TANE reference in the tests.
+are memoized per relation the same way.  This cache keeps the forms
+that list member rows by attribute *names*: CFDMiner's LHS patterns
+and an FD's violating groups and kept rows (repair, AFD removal sets)
+read the decoded group dicts.  Both forms are built from the
+encoding's group table
+(:meth:`~repro.relation.encoding.RelationEncoding.group_table`), the
+one memoized listing of each group's member rows.
 
 :class:`PartitionCache` memoizes, per relation instance:
 
@@ -52,23 +55,14 @@ class PartitionCache:
     def partition(
         self, attributes: Sequence[Attribute | str]
     ) -> StrippedPartition:
-        """``π_X``, built on first use and shared afterwards.
-
-        Single attributes build directly from the dictionary codes;
-        multi-attribute partitions compose incrementally via the
-        (cached) sub-partitions' stamped ``product``, as classic TANE
-        does.
-        """
+        """``π_X``, built on first use and shared afterwards."""
         key = tuple(sorted(as_attribute_names(attributes)))
         pi = self._partitions.get(key)
         if pi is not None:
             self.stats.hits += 1
             return pi
         self.stats.misses += 1
-        if len(key) > 1:
-            pi = self.partition(key[:-1]).product(self.partition(key[-1:]))
-        else:
-            pi = StrippedPartition.from_relation(self._source(), key)
+        pi = StrippedPartition.from_relation(self._source(), key)
         self._partitions[key] = pi
         return pi
 

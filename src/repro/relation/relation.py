@@ -425,31 +425,20 @@ class Relation:
         This is the backbone of FD-style semantics: a dependency
         ``X -> Y`` quantifies over each group of equal ``X`` values.
         Groups preserve first-occurrence order of keys via dict ordering.
+        Each key is the cells at its group's first row, gathered one
+        column at a time from the encoding's group table.
         """
         idxs = self._column_indices(attributes)
         if not idxs or not self._size:
             return self._trivial_groups()
+        table = self.encoding().group_table(idxs)
+        firsts = [first for first, __ in table]
+        cols = [self._columns[j] for j in idxs]
+        keys = zip(*[[col[i] for i in firsts] for col in cols])
         return {
             key: list(members)
-            for key, members in self.encoding().keyed_table(idxs)
+            for key, (__, members) in zip(keys, table, strict=True)
         }
-
-    def _grouped_indices(
-        self, attributes: Sequence[Attribute | str], min_size: int = 1
-    ) -> Sequence[Sequence[int]]:
-        """Equal-``X`` index groups without materializing key tuples.
-
-        The partition-construction kernel: the group keys are never
-        decoded at all, the classes come back as normalized (ascending,
-        memoized) tuples, and repeated calls are dictionary hits.
-        """
-        idxs = self._column_indices(attributes)
-        if not idxs or not self._size:
-            return [
-                g for g in self._trivial_groups().values()
-                if len(g) >= min_size
-            ]
-        return self.encoding().stripped_classes(idxs, min_size=min_size)
 
     def cached_group_by(
         self, attributes: Sequence[Attribute | str]

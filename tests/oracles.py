@@ -9,8 +9,8 @@ loader (``repro.relation.io``), a CFD pattern matched row by row
 instead of through codebooks, the skip decision with every rule
 compared against every other instead of by family bucket
 (``repro.analysis.cross_rule``), and FD-style discovery and counting
-over value groups and partitions instead of the encoding's code tables
-(TANE, CORDS, CFDMiner, FD listing, g3, CFD counts).  They share
+over value groups instead of the encoding's code tables (TANE, CORDS,
+CFDMiner, FD listing and violating groups, g3, CFD counts).  They share
 nothing with the paths they check except each notation's own predicate
 (``pair_violation``, ``Predicate.evaluate``, the LHS/RHS similarity
 tests, ``CFD.matches_lhs``, ``FD._group_violations``, the pairwise
@@ -58,7 +58,6 @@ from repro.relation import (
     Relation,
     Schema,
     StrippedPartition,
-    cache_for,
 )
 from repro.runtime.errors import InputError
 
@@ -302,6 +301,17 @@ def fd_violations(fd: FD, relation: Relation) -> list[Violation]:
     return out
 
 
+def fd_violating_groups(fd: FD, relation: Relation) -> dict[Row, list[int]]:
+    """The equal-``X`` groups holding more than one ``Y``-value, in
+    first-occurrence order."""
+    rhs_cols = [relation.column(a) for a in fd.rhs]
+    return {
+        x_value: members
+        for x_value, members in group_by(relation, fd.lhs).items()
+        if len({tuple(col[t] for col in rhs_cols) for t in members}) > 1
+    }
+
+
 def fd_holds(fd: FD, relation: Relation) -> bool:
     """Every equal-``X`` group holds one ``Y``-value."""
     return all(len(by_y) == 1 for __, by_y in _split_groups(
@@ -325,22 +335,21 @@ def g3_error(fd: FD, relation: Relation) -> float:
 def tane(
     relation: Relation, max_lhs_size: int | None = None, epsilon: float = 0.0
 ) -> list[Any]:
-    """TANE's lattice walk with the published tests on stripped
-    partitions: equal ranks, or ``g3`` from ``π_X`` and ``π_{X ∪ A}``."""
+    """TANE's lattice walk with the published tests on value tuples:
+    equal ranks ``|π_X| = |π_{X ∪ A}|`` (distinct counts), or ``g3``."""
     names = sorted(relation.schema.names())
     if max_lhs_size is None:
         max_lhs_size = max(len(names) - 1, 1)
-    cache = cache_for(relation)
 
     def valid(lhs: tuple[str, ...], a: str) -> bool:
-        pi_lhs = cache.partition(lhs)
-        pi_x = cache.partition(lhs + (a,))
         if epsilon == 0.0:
-            return pi_lhs.rank == pi_x.rank
-        return pi_lhs.g3_error(pi_x) <= epsilon
+            return distinct_count(relation, lhs) == distinct_count(
+                relation, lhs + (a,)
+            )
+        return g3_error(FD(lhs, (a,)), relation) <= epsilon
 
     def is_key(combo: tuple[str, ...]) -> bool:
-        return cache.partition(combo).rank == len(relation)
+        return distinct_count(relation, combo) == len(relation)
 
     found: list[Any] = []
     _tane_traverse(
@@ -407,7 +416,7 @@ def discover_constant_cfds(
                     column = relation.column(a)
                     values = {column[t] for t in indices}
                     if len(values) == 1:
-                        pattern = dict(items)
+                        pattern = dict(zip(lhs, x_value, strict=True))
                         pattern[a] = next(iter(values))
                         found.append(CFD(lhs, (a,), pattern))
                         minimal[a].append(items)

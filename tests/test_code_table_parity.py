@@ -1,7 +1,7 @@
-"""The code tables against the value-group and partition references.
+"""The code tables against the value-group references.
 
-TANE, CORDS, CFDMiner, FD listing, ``holds``, g3 and CFD counts read
-the relation's ``(X, Y)`` code tables
+TANE, CORDS, CFDMiner, FD listing and violating groups, ``holds``, g3
+and CFD counts read the relation's ``(X, Y)`` code tables
 (``RelationEncoding.contingency``).  These tests hold each to its
 reference in ``tests/oracles.py`` on the hostile cells of
 ``tests/test_violation_counts.py``: ``None``, one shared NaN object next
@@ -141,6 +141,8 @@ def test_fd_listing_holds_and_g3_equal_the_group_walk(r, lhs, rhs):
     got = [(v.tuples, v.reason) for v in dep.violations(r)]
     want = [(v.tuples, v.reason) for v in oracles.fd_violations(dep, r)]
     assert got == want
+    groups = list(dep.violating_groups(r).items())
+    assert groups == list(oracles.fd_violating_groups(dep, r).items())
     assert dep.holds(r) == oracles.fd_holds(dep, r) == (not want)
     assert dep.violation_count(r) == len(want)
     g3 = AFD(lhs, rhs, 0.5).measure(r)

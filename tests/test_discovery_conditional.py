@@ -47,6 +47,16 @@ class TestConstantCFDs:
             matches = dep.matching_indices(conditioned)
             assert len(matches) >= 2
 
+    def test_patterns_list_lhs_then_rhs(self):
+        # A pattern's entries, and so its repr, follow the rule's LHS
+        # order, not a hashed set's iteration order (which changes with
+        # the process's string hashing).
+        r = random_relation(150, 5, domain_size=6, seed=3)
+        found = discover_constant_cfds(r, min_support=2, max_lhs_size=2)
+        assert sum(len(dep.lhs) == 2 for dep in found) >= 20
+        for dep in found:
+            assert list(dep.pattern.entries()) == [*dep.lhs, *dep.rhs]
+
     def test_minimality_no_redundant_superpattern(self, conditioned):
         found = discover_constant_cfds(conditioned, min_support=2,
                                        max_lhs_size=2)

@@ -174,7 +174,7 @@ def test_insert_only_codebook_extension_matches_rebuild(r, rows):
     r.cached_group_by(["A", "B"])  # force the encoding to exist
     if r._enc is None:
         pytest.skip("encoded substrate disabled")
-    for j in range(len(SCHEMA)):  # build the member lists the batch carries
+    for j in range(len(SCHEMA)):  # group tables stay the parent's
         r._enc.group_table((j,))
     out = r.apply_delta(Delta(inserts=rows))
     assert out._enc is not None

@@ -390,10 +390,10 @@ def test_loaded_codebooks_carry_through_apply_delta(cells, rows, warm):
     """A CSV-loaded relation extended by a batch encodes like a cold build."""
     text = "key,num\n" + "".join(f"{k},{v}\n" for k, v in cells)
     loaded = read_csv_text(text, CARRY_SCHEMA)
-    if warm:  # member lists built before the batch carry over as well
+    if warm:  # group tables built before the batch stay the parent's
         for j in range(len(CARRY_SCHEMA)):
             loaded.encoding().group_table((j,))
     out = loaded.apply_delta(Delta(inserts=rows))
     assert out == Relation.from_rows(CARRY_SCHEMA, out.rows())
     assert_encoded_like_cold(out)
-    assert_encoded_like_cold(loaded)  # shared member lists stay the parent's
+    assert_encoded_like_cold(loaded)  # the parent still encodes its rows

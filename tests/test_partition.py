@@ -34,46 +34,9 @@ class TestBasics:
         r = Relation.empty(["a"])
         pi = StrippedPartition.from_relation(r, ["a"])
         assert pi.rank == 0
-        assert pi.g3_error(pi) == 0.0
-
-
-class TestProduct:
-    def test_product_equals_direct(self, rel):
-        pi_a = StrippedPartition.from_relation(rel, ["a"])
-        pi_b = StrippedPartition.from_relation(rel, ["b"])
-        direct = StrippedPartition.from_relation(rel, ["a", "b"])
-        assert pi_a.product(pi_b) == direct
-
-    def test_product_is_commutative(self, rel):
-        pi_a = StrippedPartition.from_relation(rel, ["a"])
-        pi_b = StrippedPartition.from_relation(rel, ["b"])
-        assert pi_a.product(pi_b) == pi_b.product(pi_a)
-
-    def test_product_random_relations(self):
-        for seed in range(10):
-            r = random_relation(20, 3, domain_size=3, seed=seed)
-            pi_0 = StrippedPartition.from_relation(r, ["A0"])
-            pi_1 = StrippedPartition.from_relation(r, ["A1"])
-            direct = StrippedPartition.from_relation(r, ["A0", "A1"])
-            assert pi_0.product(pi_1) == direct
-
-    def test_product_size_mismatch(self, rel):
-        other = StrippedPartition(3, [[0, 1]])
-        with pytest.raises(ValueError):
-            StrippedPartition.from_relation(rel, ["a"]).product(other)
 
 
 class TestRefinesAndFD:
-    def test_fd_holds_iff_refines(self):
-        from repro.core import FD
-        from repro.datasets import random_relation
-
-        for seed in range(15):
-            r = random_relation(15, 3, domain_size=3, seed=seed)
-            pi_a = StrippedPartition.from_relation(r, ["A0"])
-            pi_b = StrippedPartition.from_relation(r, ["A1"])
-            assert pi_a.refines(pi_b) == FD("A0", "A1").holds(r)
-
     def test_rank_equality_criterion(self):
         from repro.core import FD
 
@@ -82,24 +45,6 @@ class TestRefinesAndFD:
             pi_x = StrippedPartition.from_relation(r, ["A0"])
             pi_xy = StrippedPartition.from_relation(r, ["A0", "A1"])
             assert (pi_x.rank == pi_xy.rank) == FD("A0", "A1").holds(r)
-
-
-class TestG3:
-    def test_g3_matches_afd_measure(self):
-        from repro.core import AFD
-
-        for seed in range(15):
-            r = random_relation(20, 3, domain_size=3, seed=seed)
-            pi_x = StrippedPartition.from_relation(r, ["A0"])
-            pi_xy = StrippedPartition.from_relation(r, ["A0", "A1"])
-            afd = AFD("A0", "A1", 0.5)
-            assert pi_x.g3_error(pi_xy) == pytest.approx(afd.measure(r))
-
-    def test_violating_classes(self, rel):
-        pi_a = StrippedPartition.from_relation(rel, ["a"])
-        pi_ab = StrippedPartition.from_relation(rel, ["a", "b"])
-        bad = pi_a.violating_classes(pi_ab)
-        assert bad == [(2, 3)]
 
 
 class TestHashing:

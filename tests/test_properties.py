@@ -166,25 +166,9 @@ def test_nud_minimal_weight_tight(r):
 
 
 @given(relations())
-def test_partition_product_law(r):
-    pi_0 = StrippedPartition.from_relation(r, ["A0"])
-    pi_1 = StrippedPartition.from_relation(r, ["A1"])
-    assert pi_0.product(pi_1) == StrippedPartition.from_relation(
-        r, ["A0", "A1"]
-    )
-
-
-@given(relations())
 def test_partition_rank_is_distinct_count(r):
     pi = StrippedPartition.from_relation(r, ["A0", "A1"])
     assert pi.rank == r.distinct_count(["A0", "A1"])
-
-
-@given(relations())
-def test_partition_refinement_criterion(r):
-    pi_x = StrippedPartition.from_relation(r, ["A0"])
-    pi_y = StrippedPartition.from_relation(r, ["A1"])
-    assert pi_x.refines(pi_y) == FD("A0", "A1").holds(r)
 
 
 # -- family-tree equivalences (the Fig. 1A property) ----------------------
